@@ -59,15 +59,12 @@ func main() {
 		httpAddr  = flag.String("http", "", "serve /status and /ontology on this address ('' disables)")
 		statAddr  = flag.String("stats-addr", "", "serve runtime metrics on this address: /stats (text), /stats.json ('' disables)")
 		readers   = flag.Int("read-workers", stdruntime.GOMAXPROCS(0), "query evaluation workers (0 = evaluate on the node goroutine)")
-		qcacheLen = flag.Int("qcache-size", 256, "query result cache entries (generation-validated, always exact)")
-		qcacheOff = flag.Bool("qcache-off", false, "disable the query result cache")
+		qcacheLen = flag.Int("qcache-size", 256, "query result cache entries (generation-validated, always exact; negative disables)")
 		rcacheLen = flag.Int("rcache-size", 0, "gateway remote result cache entries (0 disables; reuse bounded by shortest advert lease)")
 		rcacheTTL = flag.Duration("rcache-ttl", 5*time.Second, "maximum reuse of a cached remote result set")
-		subidxOff = flag.Bool("subindex-off", false, "disable the inverted subscription index (linear-scan notification baseline)")
 		arenaSlab = flag.Int("arena-slab", 0, "advert arena slab size in records per shard (0 = 1024; raise for million-advert stores)")
 		walDir    = flag.String("wal-dir", "", "durable state directory: write-ahead log + snapshots ('' = memory-only, state lost on restart)")
 		walFsync  = flag.Bool("wal-fsync", true, "fsync the log before acknowledging mutations (group-commit batched); false flushes to the OS only")
-		walStream = flag.Int("wal-streams", 0, "shard the log append path into this many per-stripe streams (0/1 = single stream)")
 		batch     = flag.Bool("batch", false, "coalesce eligible high-rate messages (renews, acks, gossip) into shared datagrams via sendmmsg")
 		batchWait = flag.Duration("batch-delay", 2*time.Millisecond, "max time a batched message waits for companions")
 		snapEvery = flag.Int("snapshot-every", 0, "log records between compacted snapshots (0 = 100000, negative disables)")
@@ -80,17 +77,12 @@ func main() {
 		log.Fatalf("registryd: %v", err)
 	}
 	models := describe.NewRegistry(describe.URIModel{}, describe.KVModel{}, describe.NewSemanticModel(onto))
-	qsize := *qcacheLen
-	if *qcacheOff {
-		qsize = -1
-	}
 	mkStore := func() *registry.Store {
 		return registry.New(registry.Options{
-			Models:          models,
-			Leases:          lease.Policy{Max: *leaseMax, Default: *leaseDef},
-			QueryCacheSize:  qsize,
-			DisableSubIndex: *subidxOff,
-			ArenaSlab:       *arenaSlab,
+			Models:         models,
+			Leases:         lease.Policy{Max: *leaseMax, Default: *leaseDef},
+			QueryCacheSize: *qcacheLen,
+			ArenaSlab:      *arenaSlab,
 		})
 	}
 	var store *registry.Store
@@ -101,7 +93,6 @@ func main() {
 			Dir:           *walDir,
 			Fsync:         *walFsync,
 			SnapshotEvery: *snapEvery,
-			AppendStreams: *walStream,
 			NewStore:      mkStore,
 		})
 		if err != nil {

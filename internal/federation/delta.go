@@ -3,17 +3,10 @@ package federation
 // Incremental registry summaries (the delta protocol). Whole-summary
 // gossip costs O(tokens) per peer per tick even when nothing changed;
 // at WAN scale the summary dominates maintenance bandwidth. Instead the
-// sender versions its summary, keeps a bounded history of per-version
-// deltas (token add/remove lists with removals acting as tombstones),
-// and sends each peer only the deltas past the version that peer last
-// acknowledged. A periodic full resync — and an explicit Resync escape
-// hatch in the ack — bounds divergence when deltas are lost for longer
-// than the history covers or a node restarts.
-//
-// Acks are datagrams and may arrive out of order; the sender's
-// per-peer acked version only moves forward (the one exception being
-// the first ack that names the exact version of the last full resync,
-// which is a fresh synchronization point — see handleSummaryAck).
+// summary rides the shared anti-entropy stream (stream.go): each change
+// to the summary is one stream version whose change set is token
+// add/remove lists (removals acting as tombstones), and a peer is sent
+// only the net change past the version it last acknowledged.
 
 import (
 	"sort"
@@ -23,24 +16,13 @@ import (
 	"semdisco/internal/wire"
 )
 
-// maxDeltaHistory bounds the retained per-version deltas; a peer whose
-// ack falls behind the window gets a full resync instead.
-const maxDeltaHistory = 64
-
 type summarySnapshot map[describe.Kind]map[string]bool
 
-// deltaRecord is the change set that produced one summary version.
-type deltaRecord struct {
-	version uint64
-	entries []wire.SummaryDeltaEntry
-}
-
-// deltaSummaryState is the sender side of the protocol: the current
-// versioned snapshot plus the history needed to fast-forward peers.
+// deltaSummaryState is the sender side of the protocol: the summary
+// stream plus the snapshot its current version describes.
 type deltaSummaryState struct {
-	version uint64
-	snap    summarySnapshot
-	history []deltaRecord
+	stream[wire.SummaryDeltaEntry]
+	snap summarySnapshot
 }
 
 func snapshotOf(entries []wire.SummaryEntry) summarySnapshot {
@@ -66,100 +48,62 @@ func (d *deltaSummaryState) advance(cur []wire.SummaryEntry) {
 	if d.version == 0 && len(next) == 0 {
 		return // still empty: no version to speak of
 	}
-	d.version++
 	d.snap = next
-	d.history = append(d.history, deltaRecord{version: d.version, entries: entries})
-	if len(d.history) > maxDeltaHistory {
-		d.history = d.history[len(d.history)-maxDeltaHistory:]
-	}
+	d.stream.advance(entries...)
 }
 
-// diffSnapshots returns the add/remove lists taking prev to next,
-// sorted per kind for deterministic wire bytes.
+// diffSnapshots returns the add/remove lists taking prev to next.
 func diffSnapshots(prev, next summarySnapshot) []wire.SummaryDeltaEntry {
-	var kinds []describe.Kind
-	for k := range next {
-		kinds = append(kinds, k)
-	}
-	for k := range prev {
-		if _, ok := next[k]; !ok {
-			kinds = append(kinds, k)
+	state := make(map[describe.Kind]map[string]bool)
+	mark := func(k describe.Kind, t string, present bool) {
+		if state[k] == nil {
+			state[k] = make(map[string]bool)
 		}
+		state[k][t] = present
 	}
-	sortKinds(kinds)
-	var out []wire.SummaryDeltaEntry
-	for _, k := range kinds {
-		var add, remove []string
-		for t := range next[k] {
+	for k, set := range next {
+		for t := range set {
 			if !prev[k][t] {
-				add = append(add, t)
+				mark(k, t, true)
 			}
 		}
-		for t := range prev[k] {
-			if !next[k][t] {
-				remove = append(remove, t)
-			}
-		}
-		if len(add) == 0 && len(remove) == 0 {
-			continue
-		}
-		sortStrings(add)
-		sortStrings(remove)
-		out = append(out, wire.SummaryDeltaEntry{Kind: k, Add: add, Remove: remove})
 	}
-	return out
+	for k, set := range prev {
+		for t := range set {
+			if !next[k][t] {
+				mark(k, t, false)
+			}
+		}
+	}
+	return changeSet(state)
 }
 
 // fullEntries renders the snapshot as a pure-add delta (a full resync).
-func (d *deltaSummaryState) fullEntries() []wire.SummaryDeltaEntry {
-	var kinds []describe.Kind
-	for k := range d.snap {
-		kinds = append(kinds, k)
-	}
-	sortKinds(kinds)
-	out := make([]wire.SummaryDeltaEntry, 0, len(kinds))
-	for _, k := range kinds {
-		add := make([]string, 0, len(d.snap[k]))
-		for t := range d.snap[k] {
-			add = append(add, t)
-		}
-		sortStrings(add)
-		out = append(out, wire.SummaryDeltaEntry{Kind: k, Add: add})
-	}
-	return out
-}
-
-// covers reports whether the history can fast-forward a peer acked at
-// the given version to the current one.
-func (d *deltaSummaryState) covers(acked uint64) bool {
-	if acked >= d.version || len(d.history) == 0 {
-		return false
-	}
-	return d.history[0].version <= acked+1
-}
+func (d *deltaSummaryState) fullEntries() []wire.SummaryDeltaEntry { return changeSet(d.snap) }
 
 // since merges every delta past acked into one change set, applied in
 // version order so an add-then-remove nets out correctly.
 func (d *deltaSummaryState) since(acked uint64) []wire.SummaryDeltaEntry {
-	state := make(map[describe.Kind]map[string]bool) // token -> present after merge
-	for _, rec := range d.history {
-		if rec.version <= acked {
-			continue
+	state := make(map[describe.Kind]map[string]bool)
+	for _, e := range d.stream.since(acked) {
+		m := state[e.Kind]
+		if m == nil {
+			m = make(map[string]bool)
+			state[e.Kind] = m
 		}
-		for _, e := range rec.entries {
-			m := state[e.Kind]
-			if m == nil {
-				m = make(map[string]bool)
-				state[e.Kind] = m
-			}
-			for _, t := range e.Add {
-				m[t] = true
-			}
-			for _, t := range e.Remove {
-				m[t] = false
-			}
+		for _, t := range e.Add {
+			m[t] = true
+		}
+		for _, t := range e.Remove {
+			m[t] = false
 		}
 	}
+	return changeSet(state)
+}
+
+// changeSet renders token -> present-afterwards maps as add/remove
+// lists, sorted per kind for deterministic wire bytes.
+func changeSet(state map[describe.Kind]map[string]bool) []wire.SummaryDeltaEntry {
 	var kinds []describe.Kind
 	for k := range state {
 		kinds = append(kinds, k)
@@ -187,33 +131,24 @@ func (d *deltaSummaryState) since(acked uint64) []wire.SummaryDeltaEntry {
 
 // sendSummaryTo sends one peer whatever it needs this tick: nothing
 // (fully acked), the merged deltas since its ack, or a full resync.
-// The periodic-full counter advances only on ticks that actually send
-// a delta: an idle, fully-acked peer must keep costing zero summary
-// bytes, not receive a pointless full resync every SummaryFullEvery
-// skipped ticks.
 func (r *Registry) sendSummaryTo(p *peer) {
 	d := &r.dsum
-	switch {
-	case p.ackedVersion == d.version && !p.needFull:
+	base := p.sum.acked
+	switch p.sum.next(d.version, d.covers(base), r.cfg.SummaryFullEvery) {
+	case sendNothing:
 		// Peer is current: send nothing at all. Liveness is the ping
 		// loop's job; this is where the delta protocol saves its bytes.
 		fDeltaSkipped.Inc()
-	case p.needFull || p.ackedVersion == 0 ||
-		p.sinceFull+1 >= r.cfg.SummaryFullEvery || !d.covers(p.ackedVersion):
+	case sendFull:
 		r.env.Send(transport.Addr(p.info.Addr), wire.SummaryDelta{
 			Version: d.version, Full: true, Entries: d.fullEntries(),
 		})
-		p.needFull = false
-		p.lastFullVersion = d.version
-		p.sinceFull = 0
 		fSummariesSent.Inc()
 		fDeltaFullSent.Inc()
-	default:
+	case sendDelta:
 		r.env.Send(transport.Addr(p.info.Addr), wire.SummaryDelta{
-			Version: d.version, Base: p.ackedVersion,
-			Entries: d.since(p.ackedVersion),
+			Version: d.version, Base: base, Entries: d.since(base),
 		})
-		p.sinceFull++
 		fSummariesSent.Inc()
 		fDeltaSent.Inc()
 	}
@@ -240,11 +175,11 @@ func (r *Registry) handleSummaryDelta(from wire.NodeID, addr transport.Addr, d *
 			}
 			p.summary[e.Kind] = set
 		}
-		p.gotVersion = d.Version
+		p.sum.got = d.Version
 		fDeltaApplied.Inc()
-	case p.summary == nil || d.Base != p.gotVersion:
+	case p.summary == nil || d.Base != p.sum.got:
 		fDeltaStale.Inc()
-		r.env.Send(addr, wire.SummaryAck{Version: p.gotVersion, Resync: true})
+		r.env.Send(addr, wire.SummaryAck{Version: p.sum.got, Resync: true})
 		return
 	default:
 		for _, e := range d.Entries {
@@ -263,20 +198,13 @@ func (r *Registry) handleSummaryDelta(from wire.NodeID, addr transport.Addr, d *
 			// stores nothing of this kind", exactly like a full summary
 			// that omits it (pruneBySummary treats nil and empty alike).
 		}
-		p.gotVersion = d.Version
+		p.sum.got = d.Version
 		fDeltaApplied.Inc()
 	}
 	r.env.Send(addr, wire.SummaryAck{Version: d.Version})
 }
 
-// handleSummaryAck advances the sender's per-peer acked version. The
-// guard is strictly monotonic so a late, out-of-order ack can never
-// regress the vector — except an ack naming the last full resync's
-// exact version, which re-anchors a peer after this sender's version
-// space moved backwards (restart). That re-anchor is one-shot: the
-// first ack at or past the full's version clears it, so a delayed
-// duplicate of the same ack cannot drag ackedVersion backwards again
-// and trigger a needless delta/stale/resync cycle.
+// handleSummaryAck advances the sender's per-peer acked version.
 func (r *Registry) handleSummaryAck(from wire.NodeID, a *wire.SummaryAck) {
 	p, ok := r.peers[from]
 	if !ok {
@@ -284,15 +212,9 @@ func (r *Registry) handleSummaryAck(from wire.NodeID, a *wire.SummaryAck) {
 	}
 	p.lastSeen = r.now()
 	if a.Resync {
-		p.needFull = true
 		fDeltaResyncs.Inc()
 	}
-	if a.Version > p.ackedVersion || (a.Version == p.lastFullVersion && p.lastFullVersion != 0) {
-		p.ackedVersion = a.Version
-	}
-	if p.lastFullVersion != 0 && a.Version >= p.lastFullVersion {
-		p.lastFullVersion = 0
-	}
+	p.sum.ack(a.Version, a.Resync)
 }
 
 // sortKinds orders kinds numerically; describe.Kind is a small integer.

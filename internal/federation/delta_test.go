@@ -112,7 +112,7 @@ func TestDeltaResyncAfterLoss(t *testing.T) {
 	// next delta's base cannot match, forcing a Resync request.
 	p := r1.peers[r2.ID()]
 	p.summary = nil
-	p.gotVersion = 0
+	p.sum.got = 0
 	h.publish(tc, r2, h.semAdvert("urn:svc:radar", "Radar", time.Minute))
 	h.net.RunFor(3 * time.Second)
 
@@ -141,31 +141,31 @@ func TestDeltaAckMonotonic(t *testing.T) {
 	}
 	r1.handleSummaryAck(r2.ID(), &wire.SummaryAck{Version: 7})
 	r1.handleSummaryAck(r2.ID(), &wire.SummaryAck{Version: 5}) // late datagram
-	if p.ackedVersion != 7 {
-		t.Fatalf("ackedVersion = %d after out-of-order ack, want 7", p.ackedVersion)
+	if p.sum.acked != 7 {
+		t.Fatalf("ackedVersion = %d after out-of-order ack, want 7", p.sum.acked)
 	}
 	// A resync request rides any version without regressing it either.
 	r1.handleSummaryAck(r2.ID(), &wire.SummaryAck{Version: 3, Resync: true})
-	if p.ackedVersion != 7 || !p.needFull {
-		t.Fatalf("ackedVersion = %d needFull = %v, want 7/true", p.ackedVersion, p.needFull)
+	if p.sum.acked != 7 || !p.sum.needFull {
+		t.Fatalf("ackedVersion = %d needFull = %v, want 7/true", p.sum.acked, p.sum.needFull)
 	}
 	// The one sanctioned regression: an ack naming the exact version of
 	// the last full resync re-anchors after a sender restart.
-	p.lastFullVersion = 2
+	p.sum.lastFull = 2
 	r1.handleSummaryAck(r2.ID(), &wire.SummaryAck{Version: 2})
-	if p.ackedVersion != 2 {
-		t.Fatalf("ackedVersion = %d after full-resync ack, want 2", p.ackedVersion)
+	if p.sum.acked != 2 {
+		t.Fatalf("ackedVersion = %d after full-resync ack, want 2", p.sum.acked)
 	}
 	// ...and it is one-shot: once the peer has acked at or past the full,
 	// a delayed duplicate of that same ack must not re-anchor backwards
 	// (that would trigger a needless delta/stale/resync cycle).
 	r1.handleSummaryAck(r2.ID(), &wire.SummaryAck{Version: 4})
-	if p.ackedVersion != 4 {
-		t.Fatalf("ackedVersion = %d after post-resync ack, want 4", p.ackedVersion)
+	if p.sum.acked != 4 {
+		t.Fatalf("ackedVersion = %d after post-resync ack, want 4", p.sum.acked)
 	}
 	r1.handleSummaryAck(r2.ID(), &wire.SummaryAck{Version: 2}) // duplicate of the resync ack
-	if p.ackedVersion != 4 {
-		t.Fatalf("ackedVersion = %d after duplicate full-resync ack, want 4", p.ackedVersion)
+	if p.sum.acked != 4 {
+		t.Fatalf("ackedVersion = %d after duplicate full-resync ack, want 4", p.sum.acked)
 	}
 }
 
@@ -248,7 +248,7 @@ func TestSummaryResyncOnPeerReAdd(t *testing.T) {
 	tc := h.addClient("lan1", "c")
 	h.publish(tc, r2, h.semAdvert("urn:svc:cam", "Camera", time.Minute))
 	h.net.RunFor(time.Second)
-	if p := r2.peers[r1.ID()]; p == nil || p.ackedVersion == 0 {
+	if p := r2.peers[r1.ID()]; p == nil || p.sum.acked == 0 {
 		t.Fatal("setup: r1 never acked r2's summary")
 	}
 
@@ -258,7 +258,7 @@ func TestSummaryResyncOnPeerReAdd(t *testing.T) {
 		t.Fatal("eviction left peers behind in a 1-peer table")
 	}
 	p := r2.addPeer(peerInfo(r1), false)
-	if !p.needFull {
+	if !p.sum.needFull {
 		t.Fatal("re-added peer not marked for a full resync")
 	}
 	// A phantom ack from r1's previous incarnation lands after re-add.
@@ -317,23 +317,23 @@ func TestDeltaAckFromFuture(t *testing.T) {
 	}
 	// Simulate r1 having restarted with a fresh version space while r2's
 	// ack stream still names the old one.
-	p.ackedVersion = r1.dsum.version + 41
-	p.needFull = false
+	p.sum.acked = r1.dsum.version + 41
+	p.sum.needFull = false
 	fullBefore := fDeltaFullSent.Load()
 	r1.sendSummaryTo(p)
 	if fDeltaFullSent.Load() != fullBefore+1 {
 		t.Fatal("ack-from-the-future did not force a full resync")
 	}
-	if p.lastFullVersion != r1.dsum.version {
-		t.Fatalf("lastFullVersion = %d, want %d", p.lastFullVersion, r1.dsum.version)
+	if p.sum.lastFull != r1.dsum.version {
+		t.Fatalf("lastFullVersion = %d, want %d", p.sum.lastFull, r1.dsum.version)
 	}
 	// The ack naming the full's version is the sanctioned regression:
 	// it re-anchors the peer into the new version space.
 	r1.handleSummaryAck(r2.ID(), &wire.SummaryAck{Version: r1.dsum.version})
-	if p.ackedVersion != r1.dsum.version {
-		t.Fatalf("ackedVersion = %d after full-resync ack, want %d", p.ackedVersion, r1.dsum.version)
+	if p.sum.acked != r1.dsum.version {
+		t.Fatalf("ackedVersion = %d after full-resync ack, want %d", p.sum.acked, r1.dsum.version)
 	}
-	if p.lastFullVersion != 0 {
+	if p.sum.lastFull != 0 {
 		t.Fatal("re-anchor was not one-shot")
 	}
 }

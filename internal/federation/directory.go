@@ -18,15 +18,13 @@ package federation
 // first and break ties toward the lowest origin ID — so any gossip
 // order converges to the same directory.
 //
-// Entries travel between gateways by the same anti-entropy shape as the
-// PR-8 summary deltas: each gateway versions its local directory
-// *stream* (every accepted entry, authored or relayed, advances it),
-// keeps a bounded history, and sends each peer only the entries past
-// the stream version that peer acknowledged, with periodic full
-// snapshots and a Resync escape hatch bounding divergence. Because
-// applying a snapshot is a merge — never a replace — full resyncs
-// cannot lose entries, and relaying is loop-safe: a stale copy merges
-// to a no-op and does not re-enter the stream.
+// Entries travel between gateways on the shared anti-entropy stream
+// (stream.go): every accepted entry, authored or relayed, is one stream
+// version, and each peer is sent only the entries past the version it
+// acknowledged. Because applying a snapshot is a merge — never a
+// replace — full resyncs cannot lose entries, and relaying is
+// loop-safe: a stale copy merges to a no-op and does not re-enter the
+// stream.
 
 import (
 	"sort"
@@ -79,28 +77,19 @@ func ParseRole(s string) (Role, bool) {
 	return RoleStandalone, false
 }
 
-// maxDirHistory bounds the retained per-version directory deltas; a
-// peer whose ack falls behind the window gets a full snapshot instead.
-const maxDirHistory = 64
+// directoryFullEvery forces a full directory snapshot every Nth sending
+// tick per peer.
+const directoryFullEvery = 16
 
-// dirRecord is one accepted entry at one stream version.
-type dirRecord struct {
-	version uint64
-	entry   wire.DirectoryEntry
-}
-
-// directory is the merged domain map plus the stream state that gossips
-// it: version/history mirror deltaSummaryState, but over entries whose
-// conflict resolution is origin-stamped merging rather than
-// last-writer-wins replacement.
+// directory is the merged domain map plus the stream that gossips it,
+// one accepted entry per stream version.
 type directory struct {
+	stream[wire.DirectoryEntry]
 	entries map[string]wire.DirectoryEntry
 	// deadAt ages tombstones out locally once every peer has had
 	// TombstoneTTL to hear them; expiry is local aging, not a change,
 	// so it does not advance the stream.
-	deadAt  map[string]time.Time
-	version uint64
-	history []dirRecord
+	deadAt map[string]time.Time
 }
 
 func newDirectory() *directory {
@@ -139,11 +128,7 @@ func (d *directory) merge(e wire.DirectoryEntry, now time.Time, ttl time.Duratio
 	} else {
 		delete(d.deadAt, e.Domain)
 	}
-	d.version++
-	d.history = append(d.history, dirRecord{version: d.version, entry: e})
-	if len(d.history) > maxDirHistory {
-		d.history = d.history[len(d.history)-maxDirHistory:]
-	}
+	d.stream.advance(e)
 	return true
 }
 
@@ -169,27 +154,12 @@ func (d *directory) domainOf(id wire.NodeID) (string, bool) {
 	return "", false
 }
 
-// covers reports whether the history can fast-forward a peer acked at
-// the given stream version to the current one (same shape as
-// deltaSummaryState.covers, including ack-from-the-future: an ack at
-// or past our version after a restart is not coverable and forces the
-// full-snapshot re-anchor).
-func (d *directory) covers(acked uint64) bool {
-	if acked >= d.version || len(d.history) == 0 {
-		return false
-	}
-	return d.history[0].version <= acked+1
-}
-
 // since merges the history past acked into one entry set: the newest
 // record per domain, sorted for deterministic wire bytes.
 func (d *directory) since(acked uint64) []wire.DirectoryEntry {
 	latest := make(map[string]wire.DirectoryEntry)
-	for _, rec := range d.history {
-		if rec.version <= acked {
-			continue
-		}
-		latest[rec.entry.Domain] = rec.entry
+	for _, e := range d.stream.since(acked) {
+		latest[e.Domain] = e
 	}
 	return sortedEntries(latest)
 }
@@ -279,28 +249,22 @@ func (r *Registry) gossipDirectory() {
 
 // sendDirectoryTo sends one peer whatever directory state it needs this
 // tick: nothing (fully acked), the entries since its ack, or a full
-// snapshot. Like the fixed sendSummaryTo, the periodic-full counter
-// advances only on ticks that actually send.
+// snapshot.
 func (r *Registry) sendDirectoryTo(p *peer) {
 	d := r.dir
-	switch {
-	case p.dirAckedVersion == d.version && !p.dirNeedFull:
+	base := p.dirs.acked
+	switch p.dirs.next(d.version, d.covers(base), directoryFullEvery) {
+	case sendNothing:
 		fDirDeltaSkipped.Inc()
-	case p.dirNeedFull || p.dirAckedVersion == 0 ||
-		p.dirSinceFull+1 >= r.cfg.DirectoryFullEvery || !d.covers(p.dirAckedVersion):
+	case sendFull:
 		r.env.Send(transport.Addr(p.info.Addr), wire.DirectoryDelta{
 			Version: d.version, Full: true, Entries: d.fullEntries(),
 		})
-		p.dirNeedFull = false
-		p.dirLastFullVersion = d.version
-		p.dirSinceFull = 0
 		fDirDeltaFull.Inc()
-	default:
+	case sendDelta:
 		r.env.Send(transport.Addr(p.info.Addr), wire.DirectoryDelta{
-			Version: d.version, Base: p.dirAckedVersion,
-			Entries: d.since(p.dirAckedVersion),
+			Version: d.version, Base: base, Entries: d.since(base),
 		})
-		p.dirSinceFull++
 		fDirDeltaSent.Inc()
 	}
 }
@@ -327,11 +291,11 @@ func (r *Registry) handleDirectoryDelta(env *wire.Envelope, addr transport.Addr,
 		return
 	}
 	p.lastSeen = r.now()
-	if !dd.Full && dd.Version <= p.dirGotVersion {
+	if !dd.Full && dd.Version <= p.dirs.got {
 		// Duplicate or reordered: this span was already applied. Re-ack
 		// our position so the sender still advances.
 		fDirDeltaStale.Inc()
-		r.env.Send(addr, wire.DirectoryAck{Version: p.dirGotVersion})
+		r.env.Send(addr, wire.DirectoryAck{Version: p.dirs.got})
 		return
 	}
 	now := r.now()
@@ -347,7 +311,7 @@ func (r *Registry) handleDirectoryDelta(env *wire.Envelope, addr transport.Addr,
 		fDirMergeApplied.Add(uint64(accepted))
 		r.updateDirGauges()
 	}
-	if !dd.Full && dd.Base > p.dirGotVersion {
+	if !dd.Full && dd.Base > p.dirs.got {
 		// Gap: the span (got, Base] never arrived — a delta was lost, or
 		// the sender's Bye overtook its final delta and this is a fresh
 		// peer struct. The entries above were merged regardless (the
@@ -356,16 +320,14 @@ func (r *Registry) handleDirectoryDelta(env *wire.Envelope, addr transport.Addr,
 		// tombstone); the resync only recovers the missed span, so got
 		// must not advance past it.
 		fDirDeltaStale.Inc()
-		r.env.Send(addr, wire.DirectoryAck{Version: p.dirGotVersion, Resync: true})
+		r.env.Send(addr, wire.DirectoryAck{Version: p.dirs.got, Resync: true})
 		return
 	}
-	p.dirGotVersion = dd.Version
+	p.dirs.got = dd.Version
 	r.env.Send(addr, wire.DirectoryAck{Version: dd.Version})
 }
 
-// handleDirectoryAck advances the sender's per-peer directory ack with
-// the summary protocol's exact monotonic guard and one-shot
-// full-resync re-anchor (see handleSummaryAck).
+// handleDirectoryAck advances the sender's per-peer directory ack.
 func (r *Registry) handleDirectoryAck(from wire.NodeID, a *wire.DirectoryAck) {
 	if !r.dirEnabled() {
 		return
@@ -376,15 +338,9 @@ func (r *Registry) handleDirectoryAck(from wire.NodeID, a *wire.DirectoryAck) {
 	}
 	p.lastSeen = r.now()
 	if a.Resync {
-		p.dirNeedFull = true
 		fDirResyncs.Inc()
 	}
-	if a.Version > p.dirAckedVersion || (a.Version == p.dirLastFullVersion && p.dirLastFullVersion != 0) {
-		p.dirAckedVersion = a.Version
-	}
-	if p.dirLastFullVersion != 0 && a.Version >= p.dirLastFullVersion {
-		p.dirLastFullVersion = 0
-	}
+	p.dirs.ack(a.Version, a.Resync)
 }
 
 func (r *Registry) updateDirGauges() {

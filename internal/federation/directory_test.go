@@ -168,7 +168,7 @@ func TestDirectoryByeOvertakesFinalDelta(t *testing.T) {
 	if dead, ok := domains(root.DirectorySnapshot())["beta"]; !ok || dead {
 		t.Fatal("setup: root never learned beta")
 	}
-	base := root.peers[gwB.ID()].dirGotVersion
+	base := root.peers[gwB.ID()].dirs.got
 	if base == 0 {
 		t.Fatal("setup: root has no directory stream position for gwB")
 	}
@@ -194,7 +194,7 @@ func TestDirectoryByeOvertakesFinalDelta(t *testing.T) {
 	}
 	// The gap is still a gap: got must not have advanced past the
 	// unheard span, so a live sender would resend from the right place.
-	if got := root.peers[gwB.ID()].dirGotVersion; got != 0 {
+	if got := root.peers[gwB.ID()].dirs.got; got != 0 {
 		t.Fatalf("dirGotVersion advanced to %d across an unrecovered gap", got)
 	}
 }

@@ -74,8 +74,6 @@ type Config struct {
 	PurgeInterval time.Duration
 	// SeenTTL bounds the query-dedup memory; default 60 s.
 	SeenTTL time.Duration
-	// MaxPeerShare bounds peer lists in signaling messages; default 5.
-	MaxPeerShare int
 	// MaxPeers bounds the peer table; default 32.
 	MaxPeers int
 	// Seeds are well-known registries contacted at start — the manual
@@ -104,10 +102,6 @@ type Config struct {
 	// ResultCacheMaxTTL caps how long any remote result is reused even
 	// when its leases run longer; default 5 s.
 	ResultCacheMaxTTL time.Duration
-	// ResultCacheEmptyTTL bounds reuse of empty remote results, so a
-	// service published moments after a miss becomes discoverable
-	// quickly; default 1 s.
-	ResultCacheEmptyTTL time.Duration
 	// SummaryFullEvery forces a full summary resync every Nth summary
 	// tick per peer, bounding silent divergence under lost deltas;
 	// default 16. Deltas are sent on the ticks in between.
@@ -132,13 +126,18 @@ type Config struct {
 	// DirectoryInterval spaces directory anti-entropy gossip;
 	// default 10 s when Role is not standalone.
 	DirectoryInterval time.Duration
-	// DirectoryFullEvery forces a full directory snapshot every Nth
-	// sending tick per peer; default 16.
-	DirectoryFullEvery int
 	// TombstoneTTL bounds how long a departed domain's tombstone is
 	// retained (and re-gossiped) before aging out; default 2 m.
 	TombstoneTTL time.Duration
 }
+
+const (
+	// maxPeerShare bounds peer lists in signaling messages.
+	maxPeerShare = 5
+	// resultCacheEmptyTTL bounds reuse of empty remote results, so a
+	// service published moments after a miss becomes discoverable quickly.
+	resultCacheEmptyTTL = time.Second
+)
 
 func (c Config) withDefaults() Config {
 	def := func(d *time.Duration, v time.Duration) {
@@ -158,22 +157,15 @@ func (c Config) withDefaults() Config {
 	def(&c.QueryTimeout, 250*time.Millisecond)
 	def(&c.PurgeInterval, 500*time.Millisecond)
 	def(&c.SeenTTL, 60*time.Second)
-	if c.MaxPeerShare == 0 {
-		c.MaxPeerShare = 5
-	}
 	if c.MaxPeers == 0 {
 		c.MaxPeers = 32
 	}
 	def(&c.ResultCacheMaxTTL, 5*time.Second)
-	def(&c.ResultCacheEmptyTTL, time.Second)
 	if c.SummaryFullEvery == 0 {
 		c.SummaryFullEvery = 16
 	}
 	if c.Role != RoleStandalone {
 		def(&c.DirectoryInterval, 10*time.Second)
-	}
-	if c.DirectoryFullEvery == 0 {
-		c.DirectoryFullEvery = 16
 	}
 	def(&c.TombstoneTTL, 2*time.Minute)
 	return c
@@ -199,33 +191,9 @@ type peer struct {
 	// summary holds the peer's last gossiped tokens per kind.
 	summary map[describe.Kind]map[string]bool
 
-	// Receiver side of delta summary gossip: the sender's version our
-	// applied summary corresponds to.
-	gotVersion uint64
-
-	// Sender side: the highest version this peer acknowledged. Guarded
-	// monotonic — delta acks are datagrams and may arrive out of order;
-	// regressing would re-send (and mis-base) already-applied deltas.
-	ackedVersion uint64
-	// needFull forces the next summary tick to send a full resync
-	// (set by an explicit Resync request or version-space mismatch).
-	needFull bool
-	// lastFullVersion is the version of the last full resync sent; an
-	// ack naming it exactly may lower ackedVersion (resync is a fresh
-	// synchronization point, e.g. after this sender restarted with a
-	// smaller version space).
-	lastFullVersion uint64
-	// sinceFull counts summary ticks since the last full resync, for
-	// the periodic full refresh that bounds silent divergence.
-	sinceFull int
-
-	// Directory gossip state, the same protocol roles as the summary
-	// fields above but over the domain directory stream (directory.go).
-	dirGotVersion      uint64
-	dirAckedVersion    uint64
-	dirNeedFull        bool
-	dirLastFullVersion uint64
-	dirSinceFull       int
+	// sum and dirs are this peer's positions on the two anti-entropy
+	// streams (stream.go): summary deltas and the domain directory.
+	sum, dirs peerStream
 }
 
 // Registry is one federated registry node.
@@ -264,7 +232,7 @@ func New(env *runtime.Env, store *registry.Store, cfg Config) *Registry {
 	cfg = cfg.withDefaults()
 	var rcache *resultCache
 	if cfg.ResultCacheSize > 0 {
-		rcache = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheMaxTTL, cfg.ResultCacheEmptyTTL)
+		rcache = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheMaxTTL, resultCacheEmptyTTL)
 	}
 	return &Registry{
 		env:     env,
@@ -365,15 +333,18 @@ func (r *Registry) Crash() {
 	r.pool.Close()
 }
 
-// every arms a self-rearming timer.
+// every arms a self-rearming timer. Each timer owns one slot in
+// r.cancels, overwritten on re-arm, so the handle table stays as long as
+// the number of armed timers however many times they tick.
 func (r *Registry) every(d time.Duration, fn func()) {
+	slot := len(r.cancels)
 	var arm func()
 	arm = func() {
 		if r.stopped {
 			return
 		}
 		fn()
-		r.cancels = append(r.cancels, r.env.Clock.After(d, arm))
+		r.cancels[slot] = r.env.Clock.After(d, arm)
 	}
 	r.cancels = append(r.cancels, r.env.Clock.After(d, arm))
 }
@@ -396,7 +367,7 @@ func (r *Registry) addPeer(info wire.PeerInfo, lan bool) *peer {
 		// re-learned moments later via signaling): the old per-peer state
 		// is gone, so a delta against the stale base — or one sent from a
 		// phantom acked version still in flight — would corrupt the view.
-		p = &peer{info: info, lastSeen: r.now(), needFull: true, dirNeedFull: true}
+		p = &peer{info: info, lastSeen: r.now(), sum: peerStream{needFull: true}, dirs: peerStream{needFull: true}}
 		r.peers[info.ID] = p
 	}
 	p.info.Addr = info.Addr
@@ -412,17 +383,19 @@ func (r *Registry) touchPeer(id wire.NodeID) {
 	}
 }
 
+// evictOldestPeer drops the least recently heard peer; ties go to the
+// lowest node ID, never to map iteration order, so one seed yields one
+// trace.
 func (r *Registry) evictOldestPeer() {
-	var victim wire.NodeID
-	var oldest time.Time
-	first := true
-	for id, p := range r.peers {
-		if first || p.lastSeen.Before(oldest) {
-			victim, oldest, first = id, p.lastSeen, false
+	var victim *peer
+	for _, p := range r.peers {
+		if victim == nil || p.lastSeen.Before(victim.lastSeen) ||
+			(p.lastSeen.Equal(victim.lastSeen) && uuid.Compare(p.info.ID, victim.info.ID) < 0) {
+			victim = p
 		}
 	}
-	if !first {
-		delete(r.peers, victim)
+	if victim != nil {
+		delete(r.peers, victim.info.ID)
 	}
 }
 
@@ -448,12 +421,12 @@ func (r *Registry) Peers() []wire.PeerInfo {
 	return out
 }
 
-// sharePeers selects up to MaxPeerShare peers (self first) for
+// sharePeers selects up to maxPeerShare peers (self first) for
 // signaling messages, so clients and peers always learn alternates.
 func (r *Registry) sharePeers() []wire.PeerInfo {
 	out := []wire.PeerInfo{{ID: r.env.ID, Addr: string(r.env.Addr())}}
 	for _, p := range r.sortedPeers() {
-		if len(out) > r.cfg.MaxPeerShare {
+		if len(out) > maxPeerShare {
 			break
 		}
 		out = append(out, p.info)
@@ -489,10 +462,12 @@ func (r *Registry) sendBeacon() {
 
 func (r *Registry) pingPeers() {
 	now := r.now()
-	for id, p := range r.peers {
+	// Sorted, not map order: the send order decides which jitter draws
+	// each ping gets, and same seed must mean same trace.
+	for _, p := range r.sortedPeers() {
 		idle := now.Sub(p.lastSeen)
 		if idle >= r.cfg.PeerTimeout {
-			delete(r.peers, id)
+			delete(r.peers, p.info.ID)
 			r.stats.PeersExpired++
 			fPeersExpired.Inc()
 			continue

@@ -70,8 +70,6 @@ var (
 		"write-ahead log fsync barrier latency", obs.LatencyBucketsUS)
 	mWALSegments = obs.NewGauge("registry.wal.segments", "count",
 		"live write-ahead log segment files (sealed plus open)")
-	mWALStreamDrains = obs.NewCounter("registry.wal.stream.drains", "count",
-		"sharded append-stream drains merged into the segment writer (AppendStreams > 1)")
 	mWALReplayed = obs.NewCounter("registry.wal.replay.records", "count",
 		"log records replayed at recovery")
 	mWALTorn = obs.NewCounter("registry.wal.replay.torn", "count",

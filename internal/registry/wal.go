@@ -56,7 +56,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"semdisco/internal/codec"
@@ -123,19 +122,6 @@ type WALConfig struct {
 	// nil means time.Now. Simulated-clock tests must set it, or the real
 	// clock would purge every zero-epoch lease at boot.
 	Now func() time.Time
-	// AppendStreams shards the append path into this many independently
-	// locked staging streams, routed by the same ID prefix the store uses
-	// to pick its shard — so concurrent mutations on different registry
-	// stripes stop serializing on one WAL lock. 0 or 1 (the default)
-	// keeps the single-stream append path; values above 1 are rounded up
-	// to a power of two. Any value is correct against any store shard
-	// count (stripes sharing a stream contend but each stream stays
-	// LSN-ascending, which is all the drain merge needs); matching the
-	// shard count merely maximizes append concurrency. The on-disk
-	// layout is identical either way: drains merge the staged frames
-	// back into strict LSN order, so a directory written by one mode
-	// recovers under the other.
-	AppendStreams int
 }
 
 // RecoveryStats reports what Recover found and rebuilt.
@@ -186,38 +172,7 @@ type WAL struct {
 	syncing bool
 	syncErr error // sticky: a failed barrier poisons all later ones
 
-	// Sharded append mode (WALConfig.AppendStreams > 1). Appenders take
-	// rot.RLock, then — under the mutex of the stream picked by the
-	// record's ID — draw an LSN from alsn and stage their frame, so
-	// appends on different registry stripes never touch the same lock.
-	// Drawing the LSN under the stream mutex is what keeps each stream
-	// LSN-ascending even when two appenders share one (more stripes than
-	// streams); the drain merge depends on that. Drains (group-commit
-	// barriers, rotation, Close) take rot.Lock, which excludes every
-	// appender, and merge the staged frames into the segment writer in
-	// LSN order — restoring the exact single-stream on-disk layout.
-	// The last stream is reserved for keyless records (expiry and prune
-	// sweeps), serialized against each other but never against keyed
-	// appenders. Lock order: rot before mu before stream.mu; mu never
-	// acquires the others.
-	rot        sync.RWMutex
-	streams    []*walStream // nil = single-stream mode; last entry is the global stream
-	streamMask uint32
-	alsn       atomic.Uint64 // last assigned LSN (sharded mode)
-	sinceSnapA atomic.Int64  // sharded twin of sinceSnap
-	rotating   atomic.Bool   // a sharded rotation goroutine is in flight
-	closedA    atomic.Bool   // sharded twin of closed (checked lock-free)
-
 	wg sync.WaitGroup
-}
-
-// walStream is one staging buffer of the sharded append path: framed
-// records, LSN-ascending, waiting for the next drain. The mutex only
-// arbitrates between appenders sharing a stripe; drains hold the rot
-// write lock instead, which excludes all appenders at once.
-type walStream struct {
-	mu  sync.Mutex
-	buf []byte
 }
 
 // Recover opens (or initializes) a WAL directory, rebuilds a store from
@@ -299,19 +254,6 @@ func Recover(cfg WALConfig) (*Store, *WAL, RecoveryStats, error) {
 	}
 	if w.snapEvery == 0 {
 		w.snapEvery = defaultSnapshotEvery
-	}
-	if cfg.AppendStreams > 1 {
-		n := 1
-		for n < cfg.AppendStreams {
-			n <<= 1
-		}
-		// n keyed streams plus one reserved for global (keyless) records.
-		w.streams = make([]*walStream, n+1)
-		for i := range w.streams {
-			w.streams[i] = new(walStream)
-		}
-		w.streamMask = uint32(n - 1)
-		w.alsn.Store(last)
 	}
 	w.cond = sync.NewCond(&w.cmu)
 	for _, seg := range segs {
@@ -398,36 +340,11 @@ func (w *WAL) openSegmentLocked(firstLSN uint64) error {
 	return nil
 }
 
-// streamKey routes an ID-keyed record to its append stream with the
-// same prefix the store's shardFor uses, so the goroutine holding a
-// registry stripe's lock is usually the only appender on that stream
-// (shards sharing a stream merely contend, they stay correct).
-func streamKey(id uuid.UUID) uint32 { return binary.BigEndian.Uint32(id[:4]) }
-
 // append assigns the next LSN and buffers one framed record; build
 // writes the payload (type byte, LSN, fields). The caller holds the
 // store lock that ordered the mutation, so log order equals apply
 // order per key; nothing here may touch the disk beyond bufio.
-func (w *WAL) append(key uint32, build func(lsn uint64, b *codec.Buffer)) uint64 {
-	if w.streams != nil {
-		return w.appendSharded(int(key&w.streamMask), build)
-	}
-	return w.appendSingle(build)
-}
-
-// appendGlobal buffers a record with no routing key (expiry and prune
-// sweeps). In sharded mode these get the reserved last stream: global
-// records serialize against each other there, and the LSN merge at
-// drain time orders them against every keyed record.
-func (w *WAL) appendGlobal(build func(lsn uint64, b *codec.Buffer)) uint64 {
-	if w.streams != nil {
-		return w.appendSharded(len(w.streams)-1, build)
-	}
-	return w.appendSingle(build)
-}
-
-// appendSingle is the single-stream append path, serialized on w.mu.
-func (w *WAL) appendSingle(build func(lsn uint64, b *codec.Buffer)) uint64 {
+func (w *WAL) append(build func(lsn uint64, b *codec.Buffer)) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.lsn++
@@ -467,136 +384,16 @@ func (w *WAL) appendSingle(build func(lsn uint64, b *codec.Buffer)) uint64 {
 
 var walBufPool = sync.Pool{New: func() any { return new(codec.Buffer) }}
 
-// appendSharded is the contention-free append path: an LSN from the
-// atomic counter, the frame staged under the stream's own lock. The LSN
-// is drawn while that lock is held — two appenders racing on a shared
-// stream (stripes mapped to the same stream, never globals vs keyed)
-// would otherwise stage frames inverted, and the drain merge, which
-// trusts each stream to be LSN-ascending, would write a log that
-// replays an expiry sweep ahead of a renewal it observed. Staging is
-// pure memory, so it cannot fail; a record staged after Close or crash
-// is simply never drained — the same loss a real kill inflicts on an
-// unflushed bufio buffer, and by then appendErr already reports the WAL
-// unusable to Sync callers.
-func (w *WAL) appendSharded(idx int, build func(lsn uint64, b *codec.Buffer)) uint64 {
-	b := walBufPool.Get().(*codec.Buffer)
-	w.rot.RLock()
-	s := w.streams[idx]
-	s.mu.Lock()
-	lsn := w.alsn.Add(1)
-	if w.closedA.Load() {
-		s.mu.Unlock()
-		w.rot.RUnlock()
-		walBufPool.Put(b)
-		w.mu.Lock()
-		if w.appendErr == nil {
-			w.appendErr = ErrWALClosed
-		}
-		w.mu.Unlock()
-		return lsn
-	}
-	b.Reset()
-	build(lsn, b)
-	payload := b.Bytes()
-	var hdr [walFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	s.buf = append(s.buf, hdr[:]...)
-	s.buf = append(s.buf, payload...)
-	s.mu.Unlock()
-	w.rot.RUnlock()
-	walBufPool.Put(b)
-	mWALAppends.Inc()
-	mWALBytes.Add(uint64(walFrameHeader + len(payload)))
-	if w.snapEvery > 0 && w.sinceSnapA.Add(1) >= int64(w.snapEvery) && w.rotating.CompareAndSwap(false, true) {
-		w.wg.Add(1)
-		go w.rotateSharded()
-	}
-	return lsn
-}
-
-// drainStreamsLocked merges every staged frame into the segment writer
-// in strict LSN order (each stream is already LSN-ascending, so this is
-// a K-way head merge) and advances w.lsn to cover them. The caller
-// holds rot exclusively — no appender is in flight, so every assigned
-// LSN is staged and alsn cannot move — which is what lets rotation
-// name segments and snapshots by a watermark no straggler can undercut.
-func (w *WAL) drainStreamsLocked() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	heads := make([][]byte, 0, len(w.streams))
-	for _, s := range w.streams {
-		// No s.mu needed: rot excludes appenders, and the RWMutex hand-off
-		// orders their writes before our reads.
-		if len(s.buf) > 0 {
-			heads = append(heads, s.buf)
-		}
-	}
-	for {
-		best := -1
-		var bestLSN uint64
-		for i, h := range heads {
-			if len(h) == 0 {
-				continue
-			}
-			if lsn := stagedFrameLSN(h); best < 0 || lsn < bestLSN {
-				best, bestLSN = i, lsn
-			}
-		}
-		if best < 0 {
-			break
-		}
-		n := walFrameHeader + int(binary.LittleEndian.Uint32(heads[best][0:4]))
-		if w.appendErr == nil {
-			if _, err := w.bw.Write(heads[best][:n]); err != nil {
-				w.appendErr = err
-			}
-		}
-		heads[best] = heads[best][n:]
-	}
-	for _, s := range w.streams {
-		s.buf = s.buf[:0]
-	}
-	w.lsn = w.alsn.Load()
-	mWALStreamDrains.Inc()
-}
-
-// stagedFrameLSN reads the LSN of the first staged frame: past the
-// 8-byte frame header and the record-type byte sits the LSN uvarint.
-func stagedFrameLSN(frame []byte) uint64 {
-	lsn, _ := binary.Uvarint(frame[walFrameHeader+1:])
-	return lsn
-}
-
-// rotateSharded is the sharded twin of the rotation trigger in append:
-// it runs on its own goroutine because an appender holds rot.RLock and
-// cannot upgrade. Holding rot across the drain and the seal guarantees
-// the sealed segment holds exactly the LSNs the compaction will cover.
-func (w *WAL) rotateSharded() {
-	defer w.rotating.Store(false)
-	defer w.wg.Done()
-	w.rot.Lock()
-	defer w.rot.Unlock()
-	w.drainStreamsLocked()
-	w.sinceSnapA.Store(0)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed || w.compacting || w.appendErr != nil {
-		return
-	}
-	w.rotateAndCompactLocked()
-}
-
 // AppendPublish implements Backend.
 func (w *WAL) AppendPublish(adv wire.Advertisement, granted time.Duration, now time.Time) uint64 {
-	return w.append(streamKey(adv.ID), func(lsn uint64, b *codec.Buffer) {
+	return w.append(func(lsn uint64, b *codec.Buffer) {
 		putAdvertRecord(b, recPublish, lsn, adv, granted, now)
 	})
 }
 
 // AppendRenew implements Backend.
 func (w *WAL) AppendRenew(id uuid.UUID, now time.Time) uint64 {
-	return w.append(streamKey(id), func(lsn uint64, b *codec.Buffer) {
+	return w.append(func(lsn uint64, b *codec.Buffer) {
 		b.Byte(recRenew)
 		b.Uvarint(lsn)
 		b.Bytes16(id)
@@ -606,7 +403,7 @@ func (w *WAL) AppendRenew(id uuid.UUID, now time.Time) uint64 {
 
 // AppendRemove implements Backend.
 func (w *WAL) AppendRemove(id uuid.UUID) uint64 {
-	return w.append(streamKey(id), func(lsn uint64, b *codec.Buffer) {
+	return w.append(func(lsn uint64, b *codec.Buffer) {
 		b.Byte(recRemove)
 		b.Uvarint(lsn)
 		b.Bytes16(id)
@@ -615,14 +412,14 @@ func (w *WAL) AppendRemove(id uuid.UUID) uint64 {
 
 // AppendSubscribe implements Backend.
 func (w *WAL) AppendSubscribe(id uuid.UUID, kind describe.Kind, payload []byte, notifyAddr string, expires time.Time) uint64 {
-	return w.append(streamKey(id), func(lsn uint64, b *codec.Buffer) {
+	return w.append(func(lsn uint64, b *codec.Buffer) {
 		putSubRecord(b, recSubscribe, lsn, id, kind, payload, notifyAddr, expires)
 	})
 }
 
 // AppendUnsubscribe implements Backend.
 func (w *WAL) AppendUnsubscribe(id uuid.UUID) uint64 {
-	return w.append(streamKey(id), func(lsn uint64, b *codec.Buffer) {
+	return w.append(func(lsn uint64, b *codec.Buffer) {
 		b.Byte(recUnsubscribe)
 		b.Uvarint(lsn)
 		b.Bytes16(id)
@@ -631,7 +428,7 @@ func (w *WAL) AppendUnsubscribe(id uuid.UUID) uint64 {
 
 // AppendExpire implements Backend.
 func (w *WAL) AppendExpire(through time.Time) uint64 {
-	return w.appendGlobal(func(lsn uint64, b *codec.Buffer) {
+	return w.append(func(lsn uint64, b *codec.Buffer) {
 		b.Byte(recExpire)
 		b.Uvarint(lsn)
 		b.Varint(through.UnixNano())
@@ -640,7 +437,7 @@ func (w *WAL) AppendExpire(through time.Time) uint64 {
 
 // AppendPruneSubs implements Backend.
 func (w *WAL) AppendPruneSubs(now time.Time) uint64 {
-	return w.appendGlobal(func(lsn uint64, b *codec.Buffer) {
+	return w.append(func(lsn uint64, b *codec.Buffer) {
 		b.Byte(recPruneSubs)
 		b.Uvarint(lsn)
 		b.Varint(now.UnixNano())
@@ -717,14 +514,6 @@ func (w *WAL) Sync(lsn uint64) error {
 // this barrier persists, and publishers keep appending while the disk
 // syncs. That overlap is what lets group commit batch them.
 func (w *WAL) flushBarrier() (uint64, error) {
-	if w.streams != nil {
-		// Move the staged frames into the segment writer first; the rot
-		// lock is dropped before the flush and fsync below, so appenders
-		// stage freely again while the disk syncs — sharded group commit.
-		w.rot.Lock()
-		w.drainStreamsLocked()
-		w.rot.Unlock()
-	}
 	w.mu.Lock()
 	if w.appendErr != nil {
 		w.mu.Unlock()
@@ -864,14 +653,6 @@ func (w *WAL) compactFailed() {
 // snapshot-present case. It waits out any compaction already in
 // flight.
 func (w *WAL) Snapshot() error {
-	if w.streams != nil {
-		// Bring everything staged so far under w.lsn, so the rotation
-		// below covers it. Records staged by appends racing this call
-		// simply land in the next segment.
-		w.rot.Lock()
-		w.drainStreamsLocked()
-		w.rot.Unlock()
-	}
 	for {
 		w.mu.Lock()
 		if w.closed {
@@ -917,14 +698,6 @@ func (w *WAL) Snapshot() error {
 // Close flushes, fsyncs and closes the log. Mutating the store after
 // Close loses those mutations' records (appends fail sticky).
 func (w *WAL) Close() error {
-	if w.streams != nil {
-		// Stop new stages, then move everything already staged into the
-		// segment writer so the final flush below persists it.
-		w.rot.Lock()
-		w.closedA.Store(true)
-		w.drainStreamsLocked()
-		w.rot.Unlock()
-	}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -964,10 +737,6 @@ func (w *WAL) Close() error {
 // crash would lose (including, possibly, a partially flushed frame —
 // the torn tail recovery must tolerate).
 func (w *WAL) crash() {
-	// Sharded mode: the staged stream buffers are deliberately NOT
-	// drained — a kill loses them exactly as it loses an unflushed
-	// bufio buffer, and none of them were ever acknowledged durable.
-	w.closedA.Store(true)
 	w.mu.Lock()
 	w.closed = true
 	if w.appendErr == nil {

@@ -358,7 +358,8 @@ func TestWALSnapshotTailEquivalence(t *testing.T) {
 // descriptor is closed with buffered frames unflushed while concurrent
 // publishers are mid-flight. Every publish that was acknowledged before
 // the crash must recover with its exact remaining lease; unacknowledged
-// ones may or may not survive.
+// ones may or may not survive, and the log holds at most the one torn
+// tail a single kill can leave.
 func TestWALCrashDuringPublishStorm(t *testing.T) {
 	dir := t.TempDir()
 	mk := walFactory(t)
@@ -406,6 +407,9 @@ func TestWALCrashDuringPublishStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
+	if stats.TornFrames > 1 {
+		t.Fatalf("TornFrames = %d after a single kill, want at most 1", stats.TornFrames)
+	}
 	t.Logf("acked %d publishes; recovered %d adverts (%d replayed, %d torn)",
 		len(ok), stats.Adverts, stats.Replayed, stats.TornFrames)
 	for _, a := range ok {
@@ -526,17 +530,17 @@ func TestWALSnapshotCompaction(t *testing.T) {
 	}
 }
 
-// TestWALShardedRoundTrip drives the sharded append path through one of
-// every record type — including an expiry sweep that actually purges,
-// whose replay order against the re-publish that follows it is exactly
-// what the LSN merge at drain time must preserve across stripes — and
-// recovers the directory in single-stream mode, proving the two append
-// modes share one on-disk format.
-func TestWALShardedRoundTrip(t *testing.T) {
+// TestWALPurgeThenRepublishReplayOrder drives the append path through
+// one of every record type — including an expiry sweep that actually
+// purges, followed by a re-publish of one victim at the same version.
+// The re-publish is legal only because the sweep came first, so replay
+// must apply the sweep record and the publish records in exactly the
+// order they were appended.
+func TestWALPurgeThenRepublishReplayOrder(t *testing.T) {
 	dir := t.TempDir()
 	mk := walFactory(t)
 	now := t0
-	st, w, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: -1, NewStore: mk, AppendStreams: 4, Now: func() time.Time { return now }})
+	st, w, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: -1, NewStore: mk, Now: func() time.Time { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +569,7 @@ func TestWALShardedRoundTrip(t *testing.T) {
 	}
 	// Purge the short leases, then re-publish one victim at the same
 	// version: legal only because the sweep came first. A replay that
-	// reordered the sweep across stripes would reject it as stale.
+	// reordered the sweep would reject it as stale.
 	st.ExpireThrough(now.Add(time.Minute))
 	back := walAdvert(ids[0], "urn:svc:sh0", "Radar", 1, 5*time.Minute)
 	if _, _, err := st.Publish(back, now.Add(2*time.Minute)); err != nil {
@@ -587,94 +591,21 @@ func TestWALShardedRoundTrip(t *testing.T) {
 	assertStoresEqual(t, st, rec, now.Add(2*time.Minute), queries)
 }
 
-// TestWALShardedCrashStorm hammers the sharded append path from many
-// goroutines spread across every registry stripe, kills the WAL
-// mid-storm, and checks the two crash invariants: every acknowledged
-// publish survives with its exact lease deadline, and the interleaved
-// per-stripe staging never corrupts the log (at most the one torn tail
-// a kill can leave).
-func TestWALShardedCrashStorm(t *testing.T) {
+// TestWALLSNOrderUnderRacingAppenders pins the log's one on-disk
+// ordering invariant: frames are in strict LSN order even when eight
+// appenders and a sweeper race on the append lock. An inverted pair
+// would replay an expiry sweep ahead of a renewal it had observed and
+// silently drop the renewed advert. Run under -race in CI.
+func TestWALLSNOrderUnderRacingAppenders(t *testing.T) {
 	dir := t.TempDir()
 	mk := walFactory(t)
 	clock := func() time.Time { return t0 }
-	st, w, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: 256, NewStore: mk, AppendStreams: 8, Now: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type acked struct {
-		id       uuid.UUID
-		deadline time.Time
-	}
-	var mu sync.Mutex
-	var ok []acked
-	var wg sync.WaitGroup
-	for worker := 0; worker < 8; worker++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			gen := uuid.NewGenerator(uint64(9100 + worker))
-			for i := 0; ; i++ {
-				id := gen.New()
-				now := t0.Add(time.Duration(worker*10000+i) * time.Millisecond)
-				adv := walAdvert(id, fmt.Sprintf("urn:svc:s%d-%d", worker, i), "Radar", 1, 5*time.Minute)
-				granted, _, err := st.Publish(adv, now)
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				ok = append(ok, acked{id: id, deadline: now.Add(granted)})
-				mu.Unlock()
-			}
-		}(worker)
-	}
-	time.Sleep(5 * time.Millisecond)
-	w.crash()
-	wg.Wait()
-	if len(ok) == 0 {
-		t.Fatal("no publishes were acknowledged before the crash")
-	}
-
-	rec, w2, stats, err := Recover(WALConfig{Dir: dir, SnapshotEvery: 256, NewStore: mk, AppendStreams: 8, Now: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if stats.TornFrames > 1 {
-		t.Fatalf("TornFrames = %d after a single kill, want at most 1", stats.TornFrames)
-	}
-	t.Logf("acked %d publishes; recovered %d adverts (%d replayed, %d torn)",
-		len(ok), stats.Adverts, stats.Replayed, stats.TornFrames)
-	for _, a := range ok {
-		deadline, has := rec.LeaseDeadline(a.id)
-		if !has {
-			t.Fatalf("acked advert %v lost in the crash", a.id)
-		}
-		if !deadline.Equal(a.deadline) {
-			t.Fatalf("advert %v recovered with deadline %v, want %v", a.id, deadline, a.deadline)
-		}
-	}
-}
-
-// TestWALShardedLSNOrder pins the sharded append path's one on-disk
-// invariant: the merged log is in strict LSN order even when appenders
-// race on a shared stream — the config registryd permits where fewer
-// append streams than registry stripes route concurrent mutations to
-// the same stream. Regression test for drawing the LSN outside the
-// stream mutex, which let racing appenders stage frames inverted —
-// replaying an expiry sweep ahead of a renewal it had observed and
-// silently dropping the renewed advert. Run under -race in CI.
-func TestWALShardedLSNOrder(t *testing.T) {
-	dir := t.TempDir()
-	mk := walFactory(t)
-	clock := func() time.Time { return t0 }
-	_, w, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: -1, NewStore: mk, AppendStreams: 2, Now: clock})
+	_, w, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: -1, NewStore: mk, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Hammer the append API directly — no store work between appends, so
-	// appenders collide on the stream constantly. Every renew ID is
-	// pinned to stream 0 (streamKey & mask == 0), the worst case the
-	// storm can produce; a sweeper interleaves global records.
+	// appenders collide constantly; a sweeper interleaves expiry records.
 	var pubs sync.WaitGroup
 	for worker := 0; worker < 8; worker++ {
 		pubs.Add(1)
@@ -682,9 +613,7 @@ func TestWALShardedLSNOrder(t *testing.T) {
 			defer pubs.Done()
 			gen := uuid.NewGenerator(uint64(9300 + worker))
 			for i := 0; i < 50000; i++ {
-				id := gen.New()
-				id[3] &^= 1 // stream 0 under mask 1
-				w.AppendRenew(id, t0.Add(time.Duration(i)*time.Millisecond))
+				w.AppendRenew(gen.New(), t0.Add(time.Duration(i)*time.Millisecond))
 			}
 		}(worker)
 	}
@@ -734,7 +663,7 @@ func TestWALShardedLSNOrder(t *testing.T) {
 			}
 			lsn, _ := binary.Uvarint(frame[1:])
 			if lsn <= last {
-				t.Fatalf("%s: LSN %d staged after %d — log out of order", filepath.Base(seg.path), lsn, last)
+				t.Fatalf("%s: LSN %d written after %d — log out of order", filepath.Base(seg.path), lsn, last)
 			}
 			last = lsn
 			frames++
@@ -746,14 +675,15 @@ func TestWALShardedLSNOrder(t *testing.T) {
 	}
 }
 
-// TestWALShardedSnapshot races sharded publishes against the background
-// rotation trigger and a forced compaction, then recovers from the
-// snapshot plus tail. Run under -race in CI.
-func TestWALShardedSnapshot(t *testing.T) {
+// TestWALRotationRacingPublishes races concurrent publishes against the
+// automatic rotate-and-compact trigger (SnapshotEvery: 64, so several
+// background compactions overlap the writers) and a forced compaction,
+// then recovers from the snapshot plus tail. Run under -race in CI.
+func TestWALRotationRacingPublishes(t *testing.T) {
 	dir := t.TempDir()
 	mk := walFactory(t)
 	clock := func() time.Time { return t0 }
-	st, w, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: 64, NewStore: mk, AppendStreams: 4, Now: clock})
+	st, w, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: 64, NewStore: mk, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +709,7 @@ func TestWALShardedSnapshot(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, w2, stats, err := Recover(WALConfig{Dir: dir, SnapshotEvery: 64, NewStore: mk, AppendStreams: 4, Now: clock})
+	rec, w2, stats, err := Recover(WALConfig{Dir: dir, SnapshotEvery: 64, NewStore: mk, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
