@@ -3,7 +3,7 @@ GO ?= go
 # local runs use whatever `staticcheck` is on PATH (skipped if absent).
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test race vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed chaos docs-check
+.PHONY: build test race vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos docs-check
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,14 @@ bench-wire:
 # churn reconvergence); emits BENCH_fed.json.
 bench-fed:
 	sh scripts/bench.sh fed
+
+# End-to-end benchmark (bench/, BENCHMARK.json) in alternating pairs:
+# PARENT (default HEAD, i.e. the last commit) against the working tree,
+# PAIRS runs a side of each workload in WORKLOADS (default 10, all four),
+# ~50 s a pair. Prints medians, quartiles, pairs won and "every change
+# run better" per metric; all output stays under .bench_build/pairs/.
+bench-pairs:
+	bash scripts/bench_pairs.sh $(or $(PARENT),HEAD) $(or $(PAIRS),10) $(WORKLOADS)
 
 # Fails when OBSERVABILITY.md drifts from the metrics registered in code.
 docs-check:

@@ -72,7 +72,9 @@ type Config struct {
 	QueryTimeout time.Duration
 	// PurgeInterval spaces lease-expiry sweeps; default 500 ms.
 	PurgeInterval time.Duration
-	// SeenTTL bounds the query-dedup memory; default 60 s.
+	// SeenTTL is how long a handled query ID is remembered for loop
+	// avoidance: at least this long, at most twice (see seenSet, which
+	// also bounds the memory by size); default 60 s.
 	SeenTTL time.Duration
 	// MaxPeers bounds the peer table; default 32.
 	MaxPeers int
@@ -205,7 +207,7 @@ type Registry struct {
 	pool  *runtime.WorkerPool // nil when ReadWorkers == 0
 
 	peers   map[wire.NodeID]*peer
-	seen    map[uuid.UUID]time.Time
+	seen    seenSet
 	pending map[uuid.UUID]*pendingQuery
 	rcache  *resultCache // nil when ResultCacheSize == 0
 
@@ -241,7 +243,7 @@ func New(env *runtime.Env, store *registry.Store, cfg Config) *Registry {
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		pool:    runtime.NewWorkerPool(cfg.ReadWorkers, 4*cfg.ReadWorkers),
 		peers:   make(map[wire.NodeID]*peer),
-		seen:    make(map[uuid.UUID]time.Time),
+		seen:    newSeenSet(seenCap),
 		pending: make(map[uuid.UUID]*pendingQuery),
 		rcache:  rcache,
 		dir:     newDirectory(),
@@ -282,7 +284,7 @@ func (r *Registry) Start() {
 	r.every(r.cfg.BeaconInterval, r.sendBeacon)
 	r.every(r.cfg.PingInterval, r.pingPeers)
 	r.every(r.cfg.PurgeInterval, r.purge)
-	r.every(r.cfg.SeenTTL, r.cleanSeen)
+	r.every(r.cfg.SeenTTL, r.seen.rotate)
 	if r.cfg.SummaryInterval > 0 {
 		r.every(r.cfg.SummaryInterval, r.sendSummaries)
 	}
@@ -542,15 +544,6 @@ func (r *Registry) handleSubscribe(from transport.Addr, b *wire.Subscribe) {
 		ack.Error = err.Error()
 	}
 	r.env.Send(from, ack)
-}
-
-func (r *Registry) cleanSeen() {
-	cutoff := r.now().Add(-r.cfg.SeenTTL)
-	for id, ts := range r.seen {
-		if ts.Before(cutoff) {
-			delete(r.seen, id)
-		}
-	}
 }
 
 func (r *Registry) sendSummaries() {

@@ -25,8 +25,10 @@ type pendingQuery struct {
 	// arrived from forwarded copies (or were pre-seeded from the
 	// gateway result cache). They are kept apart so only genuinely
 	// remote results are cached for reuse.
-	pools       [][]wire.Advertisement
-	remote      [][]wire.Advertisement
+	pools  [][]wire.Advertisement
+	remote [][]wire.Advertisement
+	// outstanding holds the forward targets yet to send their Complete;
+	// nil for a query that was not forwarded.
 	outstanding map[wire.NodeID]bool
 	// localPending marks a local evaluation still running on the read
 	// pool; aggregation must not finalize before it lands (or the hop
@@ -36,8 +38,14 @@ type pendingQuery struct {
 	// cache under fillKey once every forwarded child has answered.
 	fill    bool
 	fillKey rkey
-	cancel  transport.CancelFunc
-	done    bool
+	// relay marks a query pinned to a domain this node does not front,
+	// forwarded to exactly one target: there is no local pool, so that
+	// target's one complete answer — ranked and capped there for the same
+	// query and limit — is the answer, and goes back as it came.
+	relay bool
+	// cancel stops the hop deadline; nil when nothing was forwarded.
+	cancel transport.CancelFunc
+	done   bool
 }
 
 // allPools returns local and remote pools together for merge-ranking.
@@ -59,7 +67,7 @@ func (r *Registry) handleQuery(env *wire.Envelope, from transport.Addr, qp *wire
 	r.stats.QueriesReceived++
 	fQueriesReceived.Inc()
 	// Loop avoidance by unique query ID (§4.10).
-	if _, dup := r.seen[q.QueryID]; dup {
+	if !r.seen.add(q.QueryID) {
 		r.stats.DuplicatesSuppressed++
 		fQueriesDuplicate.Inc()
 		// A duplicated datagram of the forward we are already processing
@@ -77,9 +85,8 @@ func (r *Registry) handleQuery(env *wire.Envelope, from transport.Addr, qp *wire
 		}
 		return
 	}
-	r.seen[q.QueryID] = r.now()
 
-	opts := registry.QueryOptions{MaxResults: int(q.MaxResults), BestOnly: q.BestOnly, NoCache: q.NoCache}
+	opts := queryOptions(q)
 
 	// Gateway result cache: a fresh cached remote pool substitutes for
 	// the whole fan-out — only the local evaluation runs. NoCache
@@ -100,11 +107,10 @@ func (r *Registry) handleQuery(env *wire.Envelope, from transport.Addr, qp *wire
 		targets = r.resolveTargets(q, env.From)
 	}
 	p := &pendingQuery{
-		query:       q,
-		replyTo:     transport.Addr(q.ReplyAddr),
-		parent:      env.From,
-		remote:      cachedRemote,
-		outstanding: make(map[wire.NodeID]bool, len(targets)),
+		query:   q,
+		replyTo: transport.Addr(q.ReplyAddr),
+		parent:  env.From,
+		remote:  cachedRemote,
 	}
 	if r.rcache != nil && !cacheHit && len(targets) > 0 {
 		p.fill, p.fillKey = true, key
@@ -124,6 +130,7 @@ func (r *Registry) handleQuery(env *wire.Envelope, from transport.Addr, qp *wire
 			r.respond(q, p.replyTo, p.allPools())
 			return
 		}
+		p.relay = len(targets) == 1
 		r.pending[q.QueryID] = p
 		r.forward(p, q, targets)
 		return
@@ -150,18 +157,24 @@ func (r *Registry) handleQuery(env *wire.Envelope, from transport.Addr, qp *wire
 		r.respond(q, p.replyTo, p.allPools())
 		return
 	}
+	// A leaf waiting only for its own pooled evaluation arms no deadline
+	// (an accepted pool task always lands in localDone) but keeps its
+	// pending entry: the result lands there, and it is what tells a
+	// duplicated datagram of this forward from a loop.
 	r.pending[q.QueryID] = p
-	r.forward(p, q, targets)
+	if len(targets) > 0 {
+		r.forward(p, q, targets)
+	}
 }
 
 // forward sends the query on to its resolved targets and arms the hop
 // deadline: children get proportionally smaller budgets, so a parent
-// never times out before its children can respond. It also bounds how
-// long a leaf waits for its own pooled evaluation.
+// never times out before its children can respond.
 func (r *Registry) forward(p *pendingQuery, q wire.Query, targets []fwdTarget) {
 	fwd := q
 	fwd.TTL = q.TTL - 1
 	fwd.ReplyAddr = string(r.env.Addr())
+	p.outstanding = make(map[wire.NodeID]bool, len(targets))
 	for _, t := range targets {
 		p.outstanding[t.id] = true
 		r.env.Send(t.addr, fwd)
@@ -338,12 +351,7 @@ func (r *Registry) handleQueryResult(env *wire.Envelope, res *wire.QueryResult) 
 	if !ok || p.done {
 		return
 	}
-	if len(res.Adverts) > 0 {
-		// Aggregated pools outlive the handler (and may be pinned by the
-		// gateway result cache); the decoded adverts borrow the receive
-		// buffer, so deep-copy before retaining.
-		p.remote = append(p.remote, wire.CloneAdverts(res.Adverts))
-	}
+	complete := false
 	if res.Complete {
 		if _, waiting := p.outstanding[env.From]; waiting {
 			delete(p.outstanding, env.From)
@@ -352,10 +360,47 @@ func (r *Registry) handleQueryResult(env *wire.Envelope, res *wire.QueryResult) 
 			// was tracked under the nil ID; its Complete closes that slot.
 			delete(p.outstanding, wire.NodeID{})
 		}
-		if len(p.outstanding) == 0 && !p.localPending {
-			r.finalize(res.QueryID)
-		}
+		complete = len(p.outstanding) == 0 && !p.localPending
 	}
+	if complete && p.relay && len(p.remote) == 0 {
+		// The adverts still borrow the receive buffer, which is fine:
+		// Send marshals them before it returns.
+		r.relay(p, res.Adverts)
+		return
+	}
+	if len(res.Adverts) > 0 {
+		// Aggregated pools outlive the handler (and may be pinned by the
+		// gateway result cache); the decoded adverts borrow the receive
+		// buffer, so deep-copy before retaining.
+		p.remote = append(p.remote, wire.CloneAdverts(res.Adverts))
+	}
+	if complete {
+		r.finalize(res.QueryID)
+	}
+}
+
+// release retires the pending state of a query about to be answered.
+func (r *Registry) release(p *pendingQuery) {
+	p.done = true
+	delete(r.pending, p.query.QueryID)
+	if p.cancel != nil {
+		p.cancel()
+	}
+}
+
+// relay answers a relay query (pendingQuery.relay) with its one
+// target's complete result: no merge, no re-check, no copy — a proxy,
+// not a second evaluator. The cap is a guard against a target that
+// ignored the limit; only the gateway result cache needs a copy to keep.
+func (r *Registry) relay(p *pendingQuery, adverts []wire.Advertisement) {
+	r.release(p)
+	if p.fill {
+		r.rcache.put(p.fillKey, p.query.Payload, [][]wire.Advertisement{wire.CloneAdverts(adverts)}, r.now())
+	}
+	if limit := r.store.EffectiveLimit(queryOptions(p.query)); len(adverts) > limit {
+		adverts = adverts[:limit]
+	}
+	r.answer(p.query, p.replyTo, adverts)
 }
 
 // finalize merges all pools, re-ranks and caps them, responds toward
@@ -365,11 +410,7 @@ func (r *Registry) finalize(queryID uuid.UUID) {
 	if !ok || p.done {
 		return
 	}
-	p.done = true
-	delete(r.pending, queryID)
-	if p.cancel != nil {
-		p.cancel()
-	}
+	r.release(p)
 	// Fill the gateway result cache only from a complete aggregation:
 	// every forwarded child answered. A hop-deadline finalize with
 	// branches still outstanding would pin a truncated result set.
@@ -379,8 +420,16 @@ func (r *Registry) finalize(queryID uuid.UUID) {
 	r.respond(p.query, p.replyTo, p.allPools())
 }
 
+// queryOptions is the response control a query delegates (§3.1).
+func queryOptions(q wire.Query) registry.QueryOptions {
+	return registry.QueryOptions{MaxResults: int(q.MaxResults), BestOnly: q.BestOnly, NoCache: q.NoCache}
+}
+
+// respond merges, re-checks and ranks the pools and answers with the
+// result: the step of a node that evaluated the query itself or
+// gathered more than one answer to it.
 func (r *Registry) respond(q wire.Query, to transport.Addr, pools [][]wire.Advertisement) {
-	opts := registry.QueryOptions{MaxResults: int(q.MaxResults), BestOnly: q.BestOnly}
+	opts := queryOptions(q)
 	merged, err := r.store.MergeRank(q.Kind, q.Payload, pools, opts)
 	if err != nil {
 		// No model for this kind here: pass pooled results through
@@ -388,20 +437,18 @@ func (r *Registry) respond(q wire.Query, to transport.Addr, pools [][]wire.Adver
 		for _, pool := range pools {
 			merged = append(merged, pool...)
 		}
-		limit := int(q.MaxResults)
-		if limit <= 0 {
-			limit = r.store.DefaultMaxResults
-		}
-		if q.BestOnly {
-			limit = 1
-		}
-		if len(merged) > limit {
+		if limit := r.store.EffectiveLimit(opts); len(merged) > limit {
 			merged = merged[:limit]
 		}
 	}
+	r.answer(q, to, merged)
+}
+
+// answer sends the final result of a query toward its origin.
+func (r *Registry) answer(q wire.Query, to transport.Addr, adverts []wire.Advertisement) {
 	r.stats.QueriesAnswered++
 	fQueriesAnswered.Inc()
-	r.stats.ResultsReturned += uint64(len(merged))
-	fResultsReturned.Add(uint64(len(merged)))
-	r.env.Send(to, wire.QueryResult{QueryID: q.QueryID, Adverts: merged, Complete: true})
+	r.stats.ResultsReturned += uint64(len(adverts))
+	fResultsReturned.Add(uint64(len(adverts)))
+	r.env.Send(to, wire.QueryResult{QueryID: q.QueryID, Adverts: adverts, Complete: true})
 }

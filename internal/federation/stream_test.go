@@ -3,10 +3,13 @@ package federation
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"semdisco/internal/describe"
 	"semdisco/internal/transport/memnet"
+	"semdisco/internal/transport/udpnet"
 	"semdisco/internal/uuid"
 	"semdisco/internal/wire"
 )
@@ -238,30 +241,78 @@ func TestStreamConvergesAndGoesQuiet(t *testing.T) {
 }
 
 // TestPeriodicTimersKeepOneHandleEach: re-arming a periodic timer
-// overwrites its cancel handle instead of appending one per tick, and
-// Stop still cancels every timer.
+// overwrites its cancel handle instead of appending one per tick, Stop
+// still cancels every timer, and a tick that fires into a saturated
+// executor queue is delayed, not lost — a self-rearming timer that loses
+// one tick has lost them all.
 func TestPeriodicTimersKeepOneHandleEach(t *testing.T) {
-	h := newHarness(t)
-	r := h.addRegistry("lan0", "r", dirCfg(RoleRoot, "core", func(c *Config) {
-		c.SummaryPruning = true
-		c.PurgeInterval = 10 * time.Millisecond
-	}))
-	armed := len(r.cancels)
-	if armed != 6 { // beacon, ping, purge, seen, summaries, directory
-		t.Fatalf("Start armed %d timers, want 6", armed)
-	}
-	h.net.RunFor(15 * time.Second) // 1500 purge ticks, and every other timer at least once
-	if len(r.cancels) != armed {
-		t.Fatalf("%d cancel handles after 1500 ticks, want %d (one per timer)", len(r.cancels), armed)
-	}
-	r.Stop()
-	sent := h.net.Stats().MessagesSent
-	if n := h.net.RunFor(time.Minute); n != 0 {
-		t.Fatalf("%d timer events fired after Stop", n)
-	}
-	if got := h.net.Stats().MessagesSent; got != sent {
-		t.Fatalf("stopped registry sent %d messages", got-sent)
-	}
+	t.Run("simulated", func(t *testing.T) {
+		h := newHarness(t)
+		r := h.addRegistry("lan0", "r", dirCfg(RoleRoot, "core", func(c *Config) {
+			c.SummaryPruning = true
+			c.PurgeInterval = 10 * time.Millisecond
+		}))
+		armed := len(r.cancels)
+		if armed != 6 { // beacon, ping, purge, seen, summaries, directory
+			t.Fatalf("Start armed %d timers, want 6", armed)
+		}
+		h.net.RunFor(15 * time.Second) // 1500 purge ticks, and every other timer at least once
+		if len(r.cancels) != armed {
+			t.Fatalf("%d cancel handles after 1500 ticks, want %d (one per timer)", len(r.cancels), armed)
+		}
+		r.Stop()
+		sent := h.net.Stats().MessagesSent
+		if n := h.net.RunFor(time.Minute); n != 0 {
+			t.Fatalf("%d timer events fired after Stop", n)
+		}
+		if got := h.net.Stats().MessagesSent; got != sent {
+			t.Fatalf("stopped registry sent %d messages", got-sent)
+		}
+	})
+	t.Run("saturated udpnet queue", func(t *testing.T) {
+		const tick = 50 * time.Millisecond
+		u := newUDPRegistry(t, describe.NewSemanticModel(testOntology(t)), 0,
+			udpnet.Config{QueueLen: 1}, Config{PurgeInterval: tick})
+		u.publish(t, "urn:svc:short", 2*tick) // lapses after the first tick, before the second
+		// Start arms the timers and then holds the executor, so the one
+		// queue slot can be filled before the first purge tick is due.
+		gate, armed := make(chan struct{}), make(chan int)
+		release := sync.OnceFunc(func() { close(gate) })
+		defer release()
+		go u.node.Do(func() {
+			u.reg.Start()
+			armed <- len(u.reg.cancels)
+			<-gate
+		})
+		handles := <-armed
+		drops := counter("transport.udp.drops")
+		for deadline := time.Now().Add(tick / 2); counter("transport.udp.drops") == drops; {
+			if time.Now().After(deadline) {
+				t.Skip("could not saturate the queue ahead of the first tick")
+			}
+			u.cenv.Send(u.reg.Addr(), wire.Ping{})
+		}
+		time.Sleep(3 * tick) // the first tick fires, and finds no room
+		release()
+		waitLen := func(want int, what string) {
+			t.Helper()
+			for deadline := time.Now().Add(10 * time.Second); u.store.Len() != want; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: the purge timer is dead (%d adverts held)", what, u.store.Len())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		waitLen(0, "tick delayed by the full queue")
+		u.publish(t, "urn:svc:next", tick)
+		waitLen(0, "ticks after it")
+		u.node.Do(func() {
+			if len(u.reg.cancels) != handles {
+				t.Errorf("%d cancel handles, want %d (one per timer)", len(u.reg.cancels), handles)
+			}
+			u.reg.Stop()
+		})
+	})
 }
 
 // TestSameSeedSameTrace: a 40-domain star run twice from one seed yields

@@ -82,17 +82,35 @@ func (p Policy) Clamp(requested time.Duration) time.Duration {
 // concurrent use.
 type Table struct {
 	policy  Policy
-	entries map[uuid.UUID]*entry
+	entries map[uuid.UUID]*Lease
 	pq      expiryHeap
 }
 
-type entry struct {
+// Lease is the table's record of one lease, handed out by Grant so the
+// holder reads the deadline without a table lookup. It is the table's
+// only copy of the deadline: Grant and Renew move it in place, and it
+// stays valid (at its last deadline) after the lease is removed. Reads
+// need the same exclusion as the table's own methods.
+type Lease struct {
 	id      uuid.UUID
 	expires time.Time
 	index   int // heap index, -1 when removed
 }
 
-type expiryHeap []*entry
+// Expires returns the lease deadline.
+func (l *Lease) Expires() time.Time { return l.expires }
+
+// AliveUntil returns the lease deadline when it has not passed at now.
+// The query path uses it to stamp cached results with the earliest
+// deadline of the advertisements they contain.
+func (l *Lease) AliveUntil(now time.Time) (time.Time, bool) {
+	if l.expires.Before(now) {
+		return time.Time{}, false
+	}
+	return l.expires, true
+}
+
+type expiryHeap []*Lease
 
 func (h expiryHeap) Len() int           { return len(h) }
 func (h expiryHeap) Less(i, j int) bool { return h[i].expires.Before(h[j].expires) }
@@ -102,7 +120,7 @@ func (h expiryHeap) Swap(i, j int) {
 	h[j].index = j
 }
 func (h *expiryHeap) Push(x any) {
-	e := x.(*entry)
+	e := x.(*Lease)
 	e.index = len(*h)
 	*h = append(*h, e)
 }
@@ -120,7 +138,7 @@ func (h *expiryHeap) Pop() any {
 func NewTable(policy Policy) *Table {
 	return &Table{
 		policy:  policy.withDefaults(),
-		entries: make(map[uuid.UUID]*entry),
+		entries: make(map[uuid.UUID]*Lease),
 	}
 }
 
@@ -128,19 +146,19 @@ func NewTable(policy Policy) *Table {
 func (t *Table) Len() int { return len(t.entries) }
 
 // Grant creates or refreshes the lease for id, clamping the requested
-// duration by policy, and returns the granted duration.
-func (t *Table) Grant(id uuid.UUID, requested time.Duration, now time.Time) time.Duration {
+// duration by policy, and returns the lease with the granted duration.
+func (t *Table) Grant(id uuid.UUID, requested time.Duration, now time.Time) (*Lease, time.Duration) {
 	granted := t.policy.Clamp(requested)
 	mGranted.Inc()
 	if e, ok := t.entries[id]; ok {
 		e.expires = now.Add(granted)
 		heap.Fix(&t.pq, e.index)
-		return granted
+		return e, granted
 	}
-	e := &entry{id: id, expires: now.Add(granted)}
+	e := &Lease{id: id, expires: now.Add(granted)}
 	t.entries[id] = e
 	heap.Push(&t.pq, e)
-	return granted
+	return e, granted
 }
 
 // Renew extends an existing lease by its policy-default duration (the
@@ -170,31 +188,10 @@ func (t *Table) Remove(id uuid.UUID) bool {
 	return true
 }
 
-// Expires returns the lease deadline, ok=false when no lease exists.
-func (t *Table) Expires(id uuid.UUID) (time.Time, bool) {
-	e, ok := t.entries[id]
-	if !ok {
-		return time.Time{}, false
-	}
-	return e.expires, true
-}
-
 // Alive reports whether id holds an unexpired lease at now.
 func (t *Table) Alive(id uuid.UUID, now time.Time) bool {
 	e, ok := t.entries[id]
 	return ok && !e.expires.Before(now)
-}
-
-// AliveUntil combines Alive and Expires in one lookup: it returns the
-// lease deadline when id holds a lease that has not expired at now.
-// The query path uses it to stamp cached results with the earliest
-// deadline of the advertisements they contain.
-func (t *Table) AliveUntil(id uuid.UUID, now time.Time) (time.Time, bool) {
-	e, ok := t.entries[id]
-	if !ok || e.expires.Before(now) {
-		return time.Time{}, false
-	}
-	return e.expires, true
 }
 
 // ExpireThrough removes every lease whose deadline is at or before now
@@ -202,7 +199,7 @@ func (t *Table) AliveUntil(id uuid.UUID, now time.Time) (time.Time, bool) {
 func (t *Table) ExpireThrough(now time.Time) []uuid.UUID {
 	var out []uuid.UUID
 	for t.pq.Len() > 0 && !t.pq[0].expires.After(now) {
-		e := heap.Pop(&t.pq).(*entry)
+		e := heap.Pop(&t.pq).(*Lease)
 		delete(t.entries, e.id)
 		out = append(out, e.id)
 	}

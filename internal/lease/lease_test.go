@@ -136,7 +136,7 @@ func TestExpiryOrderProperty(t *testing.T) {
 		for _, d := range durs {
 			id := gen.New()
 			dur := time.Duration(int(d)%3600+1) * time.Millisecond
-			granted := tab.Grant(id, dur, t0)
+			_, granted := tab.Grant(id, dur, t0)
 			want[id] = t0.Add(granted)
 		}
 		seen := make(map[uuid.UUID]bool)

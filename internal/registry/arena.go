@@ -162,6 +162,7 @@ func (sh *shard) release(st *stored) {
 	slot := st.slot
 	st.advert = wire.Advertisement{}
 	st.desc = nil
+	st.lease = nil
 	st.toks = nil
 	st.tokPos = nil
 	st.kindPos = -1

@@ -33,12 +33,16 @@
 package registry
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	stdruntime "runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,10 +189,12 @@ func (sh *shard) refreshDeadlineLocked() {
 // snapshotted by value (hit, removedAdvert) under the lock. svcSeq
 // records which byService write this advert made; it is written inside
 // Publish's shard critical section and read by removeLocked, also under
-// the lock.
+// the lock. lease is the shard lease table's own record of the advert's
+// deadline, so reading it costs no table lookup and nothing keeps a copy.
 type stored struct {
 	advert  wire.Advertisement
 	desc    describe.Description
+	lease   *lease.Lease
 	toks    []tok   // interned, deduplicated summary tokens
 	tokPos  []int32 // position in each token's posting bucket
 	kindPos int32   // position in kindIndex.all
@@ -417,7 +423,8 @@ func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, [
 	st.toks = s.toks.internAll(tokens)
 	toks := st.toks // slice header survives a concurrent release after unlock
 	sh.insertLocked(st)
-	granted := sh.leases.Grant(adv.ID, time.Duration(adv.LeaseMillis)*time.Millisecond, now)
+	var granted time.Duration
+	st.lease, granted = sh.leases.Grant(adv.ID, time.Duration(adv.LeaseMillis)*time.Millisecond, now)
 	sh.bumpLocked()
 	sh.refreshDeadlineLocked()
 	// The byService mapping (and st.svcSeq) is written while the shard
@@ -600,7 +607,7 @@ func (s *Store) Renew(id uuid.UUID, now time.Time) (time.Duration, bool) {
 	// only pushes the deadline out and leaves results unchanged — but a
 	// skewed caller clock can pull a deadline in, which would outlive a
 	// cached entry's expiry stamp, so that case invalidates too.
-	oldExp, wasAlive := sh.leases.AliveUntil(id, now)
+	oldExp, wasAlive := st.lease.AliveUntil(now)
 	granted, ok := sh.leases.Renew(id, time.Duration(st.advert.LeaseMillis)*time.Millisecond, now)
 	var lsn uint64
 	if ok {
@@ -717,7 +724,8 @@ type QueryOptions struct {
 	NoCache bool
 }
 
-func (s *Store) effectiveLimit(opts QueryOptions) int {
+// EffectiveLimit is the result cap the options ask for.
+func (s *Store) EffectiveLimit(opts QueryOptions) int {
 	limit := opts.MaxResults
 	if limit <= 0 {
 		limit = s.DefaultMaxResults
@@ -773,7 +781,7 @@ func (s *Store) Evaluate(kind describe.Kind, payload []byte, opts QueryOptions, 
 		}
 		return nil, fmt.Errorf("registry: bad query payload: %w", err)
 	}
-	limit := s.effectiveLimit(opts)
+	limit := s.EffectiveLimit(opts)
 	var out []wire.Advertisement
 	if s.qcache != nil && !opts.NoCache {
 		key := qkey{hash: plan.hash, kind: kind, limit: limit, best: opts.BestOnly}
@@ -874,7 +882,7 @@ func (sh *shard) collect(kind describe.Kind, plan *queryPlan, qtoks []tok, now t
 	}
 	consider := func(st *stored) {
 		scanned++
-		expires, alive := sh.leases.AliveUntil(st.advert.ID, now)
+		expires, alive := st.lease.AliveUntil(now)
 		if !alive {
 			return // expired but not yet purged: never serve stale data
 		}
@@ -956,62 +964,118 @@ func (s *Store) collectParallel(kind describe.Kind, plan *queryPlan, qtoks []tok
 	return merged
 }
 
+// mergeCand is one pooled advertisement on its way through MergeRank;
+// its index in the candidate slice is its arrival rank across the pools.
+type mergeCand struct {
+	adv  *wire.Advertisement // in the caller's pool
+	desc describe.Description
+	key  string
+	ev   describe.Evaluation
+}
+
 // MergeRank re-ranks advertisements pooled from several registries and
 // applies response control once more — the entry registry's aggregation
 // step for federated queries. Duplicate advertisement IDs keep the
-// highest version; duplicate service keys keep one advert. The query
-// payload goes through the same plan cache as Evaluate, so a federated
-// query decodes its payload once per node, not once per stage.
+// highest version (the first seen among equals); duplicate service keys
+// keep the lowest ID; every survivor is re-checked against this node's
+// model ("remote registry had a different opinion") and ranked by
+// rankCompare. The query payload goes through the same plan cache as
+// Evaluate, and an advert the store itself holds — this node's own
+// Evaluate pool — is matched on its resident description, so a query is
+// decoded once per node and a stored advert once per publish.
 func (s *Store) MergeRank(kind describe.Kind, payload []byte, pools [][]wire.Advertisement, opts QueryOptions) ([]wire.Advertisement, error) {
 	plan, err := s.plan(kind, payload)
 	if err != nil {
 		return nil, err
 	}
 	mMergeRank.Inc()
-	byID := make(map[uuid.UUID]wire.Advertisement)
+	n := 0
 	for _, pool := range pools {
-		for _, a := range pool {
-			if prev, ok := byID[a.ID]; !ok || a.Version > prev.Version {
-				byID[a.ID] = a
+		n += len(pool)
+	}
+	// The candidates stay put; order is the permutation that gets sorted.
+	cands := make([]mergeCand, 0, n)
+	order := make([]int32, 0, n)
+	for _, pool := range pools {
+		for i := range pool {
+			order = append(order, int32(len(cands)))
+			cands = append(cands, mergeCand{adv: &pool[i]})
+		}
+	}
+	// Each ID's run starts with the copy to keep.
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := cands[i].adv, cands[j].adv
+		if c := uuid.Compare(a.ID, b.ID); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.Version, a.Version); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	kept := order[:0]
+	var prev uuid.UUID
+	for k, i := range order {
+		c := &cands[i]
+		if k > 0 && c.adv.ID == prev {
+			continue
+		}
+		prev = c.adv.ID
+		if c.desc = s.residentDesc(kind, c.adv); c.desc == nil {
+			if c.desc, err = plan.model.DecodeDescription(c.adv.Payload); err != nil {
+				continue // corrupt result from a remote registry: skip
 			}
 		}
+		c.key = c.desc.ServiceKey()
+		kept = append(kept, i)
 	}
-	// Deterministic iteration for the dedup-by-service step.
-	ids := make([]uuid.UUID, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
+	// Each service key's run starts with its lowest ID.
+	slices.SortFunc(kept, func(i, j int32) int {
+		if c := strings.Compare(cands[i].key, cands[j].key); c != 0 {
+			return c
+		}
+		return uuid.Compare(cands[i].adv.ID, cands[j].adv.ID)
+	})
+	matched := kept[:0]
+	prevKey := ""
+	for _, i := range kept {
+		c := &cands[i]
+		if c.key != "" && c.key == prevKey {
+			continue
+		}
+		prevKey = c.key
+		if c.ev = plan.model.Evaluate(plan.query, c.desc); c.ev.Matched {
+			matched = append(matched, i)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return uuid.Compare(ids[i], ids[j]) < 0 })
-
-	limit := s.effectiveLimit(opts)
-	top := newTopK(limit)
-	seenService := make(map[string]bool)
-	for _, id := range ids {
-		a := byID[id]
-		desc, err := plan.model.DecodeDescription(a.Payload)
-		if err != nil {
-			continue // corrupt result from a remote registry: skip
-		}
-		key := desc.ServiceKey()
-		if key != "" {
-			if seenService[key] {
-				continue
-			}
-			seenService[key] = true
-		}
-		ev := plan.model.Evaluate(plan.query, desc)
-		if !ev.Matched {
-			continue // remote registry had a different opinion: re-check
-		}
-		top.push(hit{adv: a, key: key, ev: ev})
+	slices.SortFunc(matched, func(i, j int32) int {
+		a, b := &cands[i], &cands[j]
+		return rankCompare(a.ev, a.key, a.adv.ID, b.ev, b.key, b.adv.ID)
+	})
+	if limit := s.EffectiveLimit(opts); len(matched) > limit {
+		matched = matched[:max(limit, 0)]
 	}
-	hits := top.hits
-	sortHits(hits)
-	out := make([]wire.Advertisement, len(hits))
-	for i, h := range hits {
-		out[i] = h.adv
+	out := make([]wire.Advertisement, len(matched))
+	for k, i := range matched {
+		out[k] = *cands[i].adv
 	}
 	return out, nil
+}
+
+// residentDesc returns the store's decoded description of a pooled
+// advert when the store holds that very advert — same ID, kind, version
+// and payload bytes (for this node's own Evaluate pool the payload even
+// shares its backing array, which bytes.Equal notices before comparing).
+// Descriptions are immutable once decoded, so the borrowed one outlives
+// the shard lock; nil sends the caller to DecodeDescription.
+func (s *Store) residentDesc(kind describe.Kind, a *wire.Advertisement) describe.Description {
+	sh := s.shardFor(a.ID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if st, ok := sh.adverts[a.ID]; ok && st.advert.Kind == kind && st.advert.Version == a.Version && bytes.Equal(st.advert.Payload, a.Payload) {
+		return st.desc
+	}
+	return nil
 }
 
 // Summary aggregates the summary tokens of all live advertisements per
@@ -1079,10 +1143,11 @@ func (s *Store) LeaseDeadline(id uuid.UUID) (time.Time, bool) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if _, ok := sh.adverts[id]; !ok {
+	st, ok := sh.adverts[id]
+	if !ok {
 		return time.Time{}, false
 	}
-	return sh.leases.Expires(id)
+	return st.lease.Expires(), true
 }
 
 // Has reports whether the advertisement is stored (and not yet purged).

@@ -1,7 +1,8 @@
 package registry
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"semdisco/internal/describe"
@@ -21,27 +22,32 @@ type hit struct {
 	ev  describe.Evaluation
 	// expires is the lease deadline the advert was alive until when
 	// collected; the query result cache takes the minimum over a result
-	// set as the entry's freshness horizon. Zero when untracked
-	// (MergeRank candidates).
+	// set as the entry's freshness horizon.
 	expires time.Time
 }
 
-// hitBefore is the ranking total order: the shared match.CompareQuality
-// rule (higher degree first, then higher score), then service key, then
-// advertisement ID. IDs are unique, so the order is strict — the top-K
-// set is independent of evaluation order.
-func hitBefore(a, b hit) bool {
-	if c := match.CompareQuality(a.ev.Degree, a.ev.Score, b.ev.Degree, b.ev.Score); c != 0 {
-		return c < 0
+// rankCompare is the ranking total order: the shared
+// match.CompareQuality rule (higher degree first, then higher score),
+// then service key, then advertisement ID. IDs are unique, so the order
+// is strict — the top-K set is independent of evaluation order.
+func rankCompare(aEv describe.Evaluation, aKey string, aID uuid.UUID, bEv describe.Evaluation, bKey string, bID uuid.UUID) int {
+	if c := match.CompareQuality(aEv.Degree, aEv.Score, bEv.Degree, bEv.Score); c != 0 {
+		return c
 	}
-	if a.key != b.key {
-		return a.key < b.key
+	if c := strings.Compare(aKey, bKey); c != 0 {
+		return c
 	}
-	return uuid.Compare(a.adv.ID, b.adv.ID) < 0
+	return uuid.Compare(aID, bID)
 }
 
+func hitCompare(a, b *hit) int {
+	return rankCompare(a.ev, a.key, a.adv.ID, b.ev, b.key, b.adv.ID)
+}
+
+func hitBefore(a, b hit) bool { return hitCompare(&a, &b) < 0 }
+
 func sortHits(hits []hit) {
-	sort.Slice(hits, func(i, j int) bool { return hitBefore(hits[i], hits[j]) })
+	slices.SortFunc(hits, func(a, b hit) int { return hitCompare(&a, &b) })
 }
 
 // topK keeps the K best hits seen so far in a bounded heap with the

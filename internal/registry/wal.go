@@ -1102,10 +1102,8 @@ func (s *Store) durableAdverts() []snapAdvert {
 	out := make([]snapAdvert, 0, s.Len())
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for id, st := range sh.adverts {
-			if exp, ok := sh.leases.Expires(id); ok {
-				out = append(out, snapAdvert{adv: st.advert, expires: exp})
-			}
+		for _, st := range sh.adverts {
+			out = append(out, snapAdvert{adv: st.advert, expires: st.lease.Expires()})
 		}
 		sh.mu.RUnlock()
 	}

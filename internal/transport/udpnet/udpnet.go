@@ -13,7 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semdisco/internal/obs"
@@ -73,8 +75,40 @@ type Node struct {
 	resolved map[transport.Addr]*net.UDPAddr
 }
 
-// maxResolveCache bounds the destination resolution cache.
+// maxResolveCache bounds the destination resolution cache and each read
+// loop's source address cache.
 const maxResolveCache = 1024
+
+// sourceKey is a datagram's source as the socket reports it: comparable,
+// and built without allocating. scope is the raw IPv6 zone index of the
+// recvmmsg path, whose name costs an interface lookup.
+type sourceKey struct {
+	ap    netip.AddrPort
+	scope uint32
+}
+
+// sourceCache maps sources to the transport.Addr handlers see, so the
+// few peers a node hears from over and over cost one address formatting
+// each, not one per datagram. One per read loop, hence no lock.
+type sourceCache map[sourceKey]transport.Addr
+
+func (c sourceCache) addr(k sourceKey) transport.Addr {
+	a, ok := c[k]
+	if !ok {
+		if len(c) >= maxResolveCache {
+			clear(c)
+		}
+		ip := k.ap.Addr()
+		if k.scope != 0 {
+			if ifi, err := net.InterfaceByIndex(int(k.scope)); err == nil {
+				ip = ip.WithZone(ifi.Name)
+			}
+		}
+		a = transport.Addr(net.UDPAddrFromAddrPort(netip.AddrPortFrom(ip, k.ap.Port())).String())
+		c[k] = a
+	}
+	return a
+}
 
 // resolve returns the UDP address for a destination, caching results.
 func (n *Node) resolve(to transport.Addr) (*net.UDPAddr, error) {
@@ -168,12 +202,13 @@ func (n *Node) readLoop(conn *net.UDPConn) {
 		return // the platform batch receive loop ran until close
 	}
 	buf := make([]byte, 64*1024)
+	sources := sourceCache{}
 	for {
-		sz, from, err := conn.ReadFromUDP(buf)
+		sz, from, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
-		n.dispatch(transport.Addr(from.String()), buf[:sz])
+		n.dispatch(sources.addr(sourceKey{ap: from}), buf[:sz])
 	}
 }
 
@@ -198,9 +233,10 @@ func (n *Node) dispatch(fromAddr transport.Addr, b []byte) {
 	}
 }
 
-// post enqueues onto the executor, dropping when the node is closed or
-// the queue is saturated (UDP semantics: better to drop than to block
-// the reader); it reports whether the task was accepted.
+// post enqueues a received datagram onto the executor, dropping when
+// the node is closed or the queue is saturated (UDP semantics: better to
+// drop than to block the reader); it reports whether the task was
+// accepted.
 func (n *Node) post(fn func()) bool {
 	select {
 	case <-n.closed:
@@ -210,6 +246,24 @@ func (n *Node) post(fn func()) bool {
 	default:
 		return false // queue full: drop
 	}
+}
+
+// enqueue puts a timer or re-entry callback onto the executor. Unlike a
+// datagram it has no sender to retry it — a lost tick would end a
+// self-rearming timer for good, a lost re-entry a computed answer — so
+// it is never dropped while the node is open, and never blocks its
+// caller either: behind a saturated queue it waits on a goroutine of
+// its own until the executor drains or the node closes.
+func (n *Node) enqueue(fn func()) {
+	if n.post(fn) {
+		return
+	}
+	go func() {
+		select {
+		case <-n.closed:
+		case n.tasks <- fn:
+		}
+	}()
 }
 
 // Addr implements transport.Iface.
@@ -301,24 +355,23 @@ func (n *Node) Close() error {
 func (n *Node) Now() time.Time { return time.Now() }
 
 // After implements transport.Clock: the callback is funnelled through
-// the executor so it never races a message handler.
+// the executor so it never races a message handler. A zero delay is a
+// re-entry, not a timer — work done off the executor handing its result
+// back — and goes straight onto the queue.
 func (n *Node) After(d time.Duration, fn func()) transport.CancelFunc {
-	var mu sync.Mutex
-	canceled := false
-	t := time.AfterFunc(d, func() {
-		n.post(func() {
-			mu.Lock()
-			c := canceled
-			mu.Unlock()
-			if !c {
-				fn()
-			}
-		})
-	})
+	var canceled atomic.Bool
+	run := func() {
+		if !canceled.Load() {
+			fn()
+		}
+	}
+	if d <= 0 {
+		n.enqueue(run)
+		return func() { canceled.Store(true) }
+	}
+	t := time.AfterFunc(d, func() { n.enqueue(run) })
 	return func() {
-		mu.Lock()
-		canceled = true
-		mu.Unlock()
+		canceled.Store(true)
 		t.Stop()
 	}
 }
@@ -328,7 +381,7 @@ func (n *Node) After(d time.Duration, fn func()) transport.CancelFunc {
 // safely.
 func (n *Node) Do(fn func()) {
 	done := make(chan struct{})
-	n.post(func() {
+	n.enqueue(func() {
 		fn()
 		close(done)
 	})

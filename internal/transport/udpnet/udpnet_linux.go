@@ -12,6 +12,7 @@ package udpnet
 
 import (
 	"net"
+	"net/netip"
 	"runtime"
 	"syscall"
 	"unsafe"
@@ -132,6 +133,7 @@ func readLoopOS(n *Node, conn *net.UDPConn) bool {
 			Iovlen:  1,
 		}}
 	}
+	sources := sourceCache{}
 	for {
 		got := 0
 		err := rc.Read(func(fd uintptr) bool {
@@ -162,43 +164,23 @@ func readLoopOS(n *Node, conn *net.UDPConn) bool {
 			mBatchRecvs.Inc()
 		}
 		for i := 0; i < got; i++ {
-			from := sockaddrToUDP(&sas[i])
-			if from == nil {
-				continue
+			if k, ok := sockaddrKey(&sas[i]); ok {
+				n.dispatch(sources.addr(k), bufs[i][:hdrs[i].len])
 			}
-			n.dispatch(transport.Addr(from.String()), bufs[i][:hdrs[i].len])
 		}
 	}
 }
 
-// sockaddrToUDP converts a raw source address to a net.UDPAddr.
-func sockaddrToUDP(sa *syscall.RawSockaddrAny) *net.UDPAddr {
+// sockaddrKey reads a raw source address; false for an address family
+// the node does not speak.
+func sockaddrKey(sa *syscall.RawSockaddrAny) (sourceKey, bool) {
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		s4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		return &net.UDPAddr{
-			IP:   net.IPv4(s4.Addr[0], s4.Addr[1], s4.Addr[2], s4.Addr[3]),
-			Port: int(s4.Port>>8 | s4.Port<<8&0xFF00),
-		}
+		return sourceKey{ap: netip.AddrPortFrom(netip.AddrFrom4(s4.Addr), s4.Port>>8|s4.Port<<8)}, true
 	case syscall.AF_INET6:
 		s6 := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
-		ip := make(net.IP, net.IPv6len)
-		copy(ip, s6.Addr[:])
-		return &net.UDPAddr{
-			IP:   ip,
-			Port: int(s6.Port>>8 | s6.Port<<8&0xFF00),
-			Zone: zoneOf(s6.Scope_id),
-		}
+		return sourceKey{ap: netip.AddrPortFrom(netip.AddrFrom16(s6.Addr), s6.Port>>8|s6.Port<<8), scope: s6.Scope_id}, true
 	}
-	return nil
-}
-
-func zoneOf(scope uint32) string {
-	if scope == 0 {
-		return ""
-	}
-	if ifi, err := net.InterfaceByIndex(int(scope)); err == nil {
-		return ifi.Name
-	}
-	return ""
+	return sourceKey{}, false
 }

@@ -227,3 +227,73 @@ func TestMulticastBetweenNodes(t *testing.T) {
 		t.Skip("multicast datagrams not delivered in this environment")
 	}
 }
+
+// TestCallbacksSurviveSaturatedQueue: datagrams are dropped when the
+// executor queue is full, timer and re-entry callbacks are not — they
+// have no sender to retry them. Neither blocks the caller; both run
+// once the executor drains, in the executor, unless canceled.
+func TestCallbacksSurviveSaturatedQueue(t *testing.T) {
+	n, err := Listen(Config{QueueLen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	gate, entered := make(chan struct{}), make(chan struct{})
+	go n.Do(func() { close(entered); <-gate })
+	<-entered // the executor is busy
+	if !n.post(func() {}) || n.post(func() {}) {
+		t.Fatal("a one-slot queue should take exactly one task")
+	}
+
+	ran := make(chan string, 4)
+	n.After(0, func() { ran <- "re-entry" })
+	n.After(time.Millisecond, func() { ran <- "timer" })
+	n.After(0, func() { ran <- "canceled" })()
+	time.Sleep(20 * time.Millisecond) // the timer fires into the full queue
+	select {
+	case name := <-ran:
+		t.Fatalf("%s callback ran beside a busy executor", name)
+	default:
+	}
+	close(gate)
+	got := map[string]bool{}
+	for len(got) < 2 {
+		select {
+		case name := <-ran:
+			got[name] = true
+		case <-time.After(2 * time.Second):
+			t.Fatalf("after the queue drained only %v ran, want re-entry and timer", got)
+		}
+	}
+	if got["canceled"] {
+		t.Fatal("canceled callback ran")
+	}
+}
+
+// TestZeroDelayAfterIsQueueHandOff: After(0) puts the callback straight
+// onto the executor queue, so re-entries run in the order they were
+// made and ahead of anything queued later — no runtime timer, and no
+// goroutine of its own, in between.
+func TestZeroDelayAfterIsQueueHandOff(t *testing.T) {
+	n, err := Listen(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var order []int
+	n.Do(func() {
+		// Posted from the executor itself, so none can run before all are queued.
+		for i := 0; i < 100; i++ {
+			n.After(0, func() { order = append(order, i) })
+		}
+	})
+	n.Do(func() {}) // behind all of them
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("re-entries ran out of order: %v", order)
+		}
+	}
+	if len(order) != 100 {
+		t.Fatalf("%d of 100 re-entries ran by the time a later task did", len(order))
+	}
+}
