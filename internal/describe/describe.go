@@ -106,19 +106,33 @@ type Model interface {
 	// of for the query to possibly match; prunable=false means the
 	// query cannot be pruned by summaries and must always be forwarded.
 	QueryTokens(q Query) (tokens []string, prunable bool)
+	// OutputConceptIDs returns the interned concept IDs of the
+	// description's declared outputs, distinct and ascending — the keys
+	// a registry posts the description under besides its summary
+	// tokens. IDs are small non-negative integers (dense per ontology).
+	// Nil for models without output concepts.
+	OutputConceptIDs(d Description) []int32
+	// OutputGroups returns the query's output constraints as concept-ID
+	// groups: a description the query matches declares, among its
+	// OutputConceptIDs, at least one ID of every group. A required
+	// output the model cannot state such a group for contributes none,
+	// so nil (no constraint the index can use) is always sound.
+	OutputGroups(q Query) [][]int32
 }
 
 // ConceptIndexer is an optional Model extension for models grounded in
 // a compiled ontology. It exposes the interned concept-ID view of the
-// summary-token contract: a description whose concept ID is declared
-// can match a query only if that ID lies in the query's subsumption
-// closure. The registry's subscription index uses it to post standing
-// queries under integer concept IDs instead of expanded token strings —
-// one O(1) bucket probe per publish instead of a closure-sized token
-// walk. Both methods report ok=false when the value is undeclared or
-// the ontology carries no compiled index; callers must then fall back
-// to the string-token domain (QueryTokens/SummaryTokens), which
-// degrades both sides of the match symmetrically.
+// summary-token contract: when QueryConceptIDs reports ok, every
+// description (decoded by this model) the query matches has a declared
+// concept, and that concept lies in the returned set. The registry uses
+// it to post standing queries under integer concept IDs instead of
+// expanded token strings — one O(1) bucket probe per publish instead of
+// a closure-sized token walk — and to filter output-indexed candidates
+// on category without touching the record. Both methods report
+// ok=false when the value is undeclared, the query cannot be bounded
+// that way, or the ontology carries no compiled index; callers must
+// then fall back to the string-token domain (QueryTokens/SummaryTokens),
+// which degrades both sides of the match symmetrically.
 type ConceptIndexer interface {
 	// DescriptionConceptID returns the description's declared concept.
 	DescriptionConceptID(d Description) (int32, bool)

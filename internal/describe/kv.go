@@ -228,3 +228,9 @@ func (KVModel) QueryTokens(q Query) ([]string, bool) {
 	}
 	return []string{normURI(kq.TypeURI)}, true
 }
+
+// OutputConceptIDs implements Model: KV descriptions have no outputs.
+func (KVModel) OutputConceptIDs(Description) []int32 { return nil }
+
+// OutputGroups implements Model: KV queries constrain no outputs.
+func (KVModel) OutputGroups(Query) [][]int32 { return nil }

@@ -1,6 +1,8 @@
 package describe
 
 import (
+	"slices"
+
 	"semdisco/internal/match"
 	"semdisco/internal/ontology"
 	"semdisco/internal/profile"
@@ -130,21 +132,24 @@ func (m *SemanticModel) SummaryTokens(d Description) []string {
 }
 
 // QueryTokens implements Model: every class standing in a subsumption
-// relation with the requested category (its ancestors and descendants).
-// A semantic description can only clear the category aspect if its
-// category is in this set, so summary pruning stays sound. Queries
-// without a category constraint are not prunable.
+// relation with the requested category (its ancestors and descendants,
+// and Thing). A semantic description can only clear the category aspect
+// if its category is in this set, so summary pruning stays sound.
+// Queries without a category constraint are not prunable, and neither
+// is a Thing query: Thing subsumes every category, undeclared ones
+// included, which no token set can name.
 func (m *SemanticModel) QueryTokens(q Query) ([]string, bool) {
 	sq, ok := q.(*SemanticQuery)
-	if !ok || sq.Template.Category == "" {
+	if !ok || sq.Template.Category == "" || sq.Template.Category == ontology.Thing {
 		return nil, false
 	}
 	cat := sq.Template.Category
 	rel := m.onto.Related(cat)
 	if len(rel) == 0 {
 		// Unknown category: only a description advertising the identical
-		// (equally unknown) concept can clear the category aspect.
-		return []string{string(cat)}, true
+		// (equally unknown) concept, or Thing, which subsumes it, can
+		// clear the category aspect.
+		return []string{string(cat), string(ontology.Thing)}, true
 	}
 	tokens := make([]string, len(rel))
 	for i, c := range rel {
@@ -171,23 +176,78 @@ func (m *SemanticModel) DescriptionConceptID(d Description) (int32, bool) {
 
 // QueryConceptIDs implements ConceptIndexer: the subsumption closure of
 // the requested category as interned IDs — the ID-domain counterpart of
-// QueryTokens' Related expansion.
+// QueryTokens' Related expansion. A Thing query reports ok=false for the
+// reason QueryTokens makes it unprunable: it also matches descriptions
+// whose category has no concept ID.
 func (m *SemanticModel) QueryConceptIDs(q Query) ([]int32, bool) {
 	sq, ok := q.(*SemanticQuery)
 	if !ok || sq.Template.Category == "" {
 		return nil, false
 	}
 	it := sq.Template.InternedFor(m.onto)
-	if it == nil || it.Category == ontology.NoClass {
+	if it == nil || it.Category == ontology.NoClass || it.Category == m.onto.ThingID() {
 		return nil, false
 	}
-	rel := m.onto.RelatedIDs(it.Category)
-	if rel == nil {
-		return nil, false
+	return toInt32s(m.onto.RelatedIDs(it.Category)), true
+}
+
+// OutputConceptIDs implements Model: the description's declared output
+// concepts. Undeclared outputs have no ID and are left out: the matcher
+// rates them Fail against every declared requested output except Thing,
+// and neither a Thing nor an undeclared requested output forms a group.
+func (m *SemanticModel) OutputConceptIDs(d Description) []int32 {
+	sd, ok := d.(*SemanticDescription)
+	if !ok {
+		return nil
 	}
-	out := make([]int32, len(rel))
-	for i, id := range rel {
+	ip := sd.Profile.InternedFor(m.onto)
+	if ip == nil {
+		return nil
+	}
+	out := make([]int32, 0, len(ip.Outputs))
+	for _, id := range ip.Outputs {
+		if id != ontology.NoClass {
+			out = append(out, int32(id))
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// OutputGroups implements Model: one group per declared required output
+// R other than Thing, holding RelatedIDs(R). The matcher rates an
+// advertised output against R above Fail exactly when it is declared
+// and subsumes or is subsumed by R (Thing included), so a matching
+// description declares an output in every group. An undeclared R or
+// Thing is also served by undeclared outputs, which carry no ID, so
+// those contribute no group; neither does anything when the template
+// was interned without a compiled ontology.
+func (m *SemanticModel) OutputGroups(q Query) [][]int32 {
+	sq, ok := q.(*SemanticQuery)
+	if !ok {
+		return nil
+	}
+	it := sq.Template.InternedFor(m.onto)
+	if it == nil {
+		return nil
+	}
+	var groups [][]int32
+	for _, r := range it.RequiredOutputs {
+		if r == ontology.NoClass || r == m.onto.ThingID() {
+			continue
+		}
+		groups = append(groups, toInt32s(m.onto.RelatedIDs(r)))
+	}
+	return groups
+}
+
+func toInt32s(ids []ontology.ClassID) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
 		out[i] = int32(id)
 	}
-	return out, true
+	return out
 }

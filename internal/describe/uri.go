@@ -135,3 +135,9 @@ func (URIModel) QueryTokens(q Query) ([]string, bool) {
 	}
 	return nil, false
 }
+
+// OutputConceptIDs implements Model: URI descriptions have no outputs.
+func (URIModel) OutputConceptIDs(Description) []int32 { return nil }
+
+// OutputGroups implements Model: URI queries constrain no outputs.
+func (URIModel) OutputGroups(Query) [][]int32 { return nil }

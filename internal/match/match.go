@@ -214,15 +214,16 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 		}
 	}
 	// QoS thresholds are hard constraints: missing attribute or value
-	// below threshold fails.
+	// below threshold fails. Margins are summed in attribute order, so
+	// the score does not depend on map iteration order.
 	qosMargin := 0.0
-	for attr, min := range t.MinQoS {
-		v, ok := p.QoS[attr]
-		if !ok || v < min {
+	for _, f := range t.QoSFloors() {
+		v, ok := p.QoS[f.Attr]
+		if !ok || v < f.Min {
 			return Result{Degree: Fail}
 		}
-		if min > 0 {
-			qosMargin += (v - min) / min
+		if f.Min > 0 {
+			qosMargin += (v - f.Min) / f.Min
 		}
 	}
 	// Coverage: a service with a declared coverage area must cover the

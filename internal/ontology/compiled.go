@@ -237,11 +237,24 @@ func (c *compiledIndex) rowClasses(m []uint64, row ClassID) []Class {
 	return out
 }
 
+// relatedWord is word w of id's related set: its ancestor row OR its
+// descendant row, plus Thing. Thing subsumes every class (SubsumesID
+// special-cases it), yet a top-level equivalence cluster has no Thing
+// bit in its ancestor row, so the bit is set here explicitly.
+func (c *compiledIndex) relatedWord(id ClassID, w int) uint64 {
+	word := c.anc[int(id)*c.words+w] | c.desc[int(id)*c.words+w]
+	if w == int(c.thing>>6) {
+		word |= 1 << (c.thing & 63)
+	}
+	return word
+}
+
 // Related returns every class standing in a subsumption relation with c
-// — its reflexive-transitive ancestors and descendants — in
-// deterministic (lexicographic) order. The semantic description model
-// uses it to expand a query category into its summary-pruning token
-// neighbourhood with a single bitset pass. Unknown classes yield nil.
+// — its reflexive-transitive ancestors and descendants, and Thing; for
+// Thing, every class — in deterministic (lexicographic) order. The
+// semantic description model uses it to expand a query category into
+// its summary-pruning token neighbourhood with a single bitset pass.
+// Unknown classes yield nil.
 func (o *Ontology) Related(cl Class) []Class {
 	o.mustFrozen()
 	if c := o.c; c != nil {
@@ -249,21 +262,15 @@ func (o *Ontology) Related(cl Class) []Class {
 		if !ok {
 			return nil
 		}
-		ra := c.anc[int(id)*c.words : (int(id)+1)*c.words]
-		rd := c.desc[int(id)*c.words : (int(id)+1)*c.words]
-		count := 0
-		for w := range ra {
-			count += bits.OnesCount64(ra[w] | rd[w])
-		}
-		out := make([]Class, 0, count)
-		for w := range ra {
-			word := ra[w] | rd[w]
-			for word != 0 {
-				out = append(out, c.classes[w<<6+bits.TrailingZeros64(word)])
-				word &= word - 1
-			}
+		ids := o.RelatedIDs(id)
+		out := make([]Class, len(ids))
+		for i, rid := range ids {
+			out[i] = c.classes[rid]
 		}
 		return out
+	}
+	if cl == Thing {
+		return o.Classes()
 	}
 	if !o.HasClass(cl) {
 		return nil
@@ -271,7 +278,7 @@ func (o *Ontology) Related(cl Class) []Class {
 	anc := o.Ancestors(cl)
 	seen := make(map[Class]bool, len(anc)+8)
 	out := make([]Class, 0, len(anc)+8)
-	for _, a := range anc {
+	for _, a := range append(anc, Thing) {
 		if !seen[a] {
 			seen[a] = true
 			out = append(out, a)
@@ -289,26 +296,31 @@ func (o *Ontology) Related(cl Class) []Class {
 
 // RelatedIDs is Related in the interned-ID domain: every ClassID
 // standing in a subsumption relation with id (reflexive-transitive
-// ancestors and descendants), ascending. The registry's subscription
-// index posts a standing semantic query under this closure so a publish
-// probes exactly one bucket. Nil when the ontology carries no compiled
-// index or id is invalid — callers then fall back to the string-token
-// domain, matching how every other interned path degrades.
+// ancestors and descendants, and Thing; every ID for Thing), ascending.
+// The registry posts standing semantic queries under this closure and
+// filters candidates against it. Nil when the ontology carries no
+// compiled index or id is invalid — callers then fall back to the
+// string-token domain, matching how every other interned path degrades.
 func (o *Ontology) RelatedIDs(id ClassID) []ClassID {
 	o.mustFrozen()
 	c := o.c
 	if c == nil || !c.valid(id) {
 		return nil
 	}
-	ra := c.anc[int(id)*c.words : (int(id)+1)*c.words]
-	rd := c.desc[int(id)*c.words : (int(id)+1)*c.words]
+	if id == c.thing {
+		out := make([]ClassID, len(c.classes))
+		for i := range out {
+			out[i] = ClassID(i)
+		}
+		return out
+	}
 	count := 0
-	for w := range ra {
-		count += bits.OnesCount64(ra[w] | rd[w])
+	for w := 0; w < c.words; w++ {
+		count += bits.OnesCount64(c.relatedWord(id, w))
 	}
 	out := make([]ClassID, 0, count)
-	for w := range ra {
-		word := ra[w] | rd[w]
+	for w := 0; w < c.words; w++ {
+		word := c.relatedWord(id, w)
 		for word != 0 {
 			out = append(out, ClassID(w<<6+bits.TrailingZeros64(word)))
 			word &= word - 1

@@ -3,6 +3,7 @@ package ontology
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,43 @@ func buildRandom(t testing.TB, edges []uint8, n int) (compiled, maps *Ontology) 
 		return o
 	}
 	return build(false), build(true)
+}
+
+// TestRelatedIsTheSubsumptionNeighbourhood checks Related against its
+// definition on both paths: b ∈ Related(a) exactly when one subsumes
+// the other. Thing subsumes everything, including the members of a
+// top-level subclass cycle, whose closure rows carry no Thing bit.
+func TestRelatedIsTheSubsumptionNeighbourhood(t *testing.T) {
+	f := func(edges []uint8) bool {
+		const n = 10
+		co, mo := buildRandom(t, edges, n)
+		for _, o := range []*Ontology{co, mo} {
+			all := o.Classes()
+			for _, a := range all {
+				rel := map[Class]bool{}
+				for _, r := range o.Related(a) {
+					rel[r] = true
+				}
+				for _, b := range all {
+					if want := o.Subsumes(a, b) || o.Subsumes(b, a); rel[b] != want {
+						t.Fatalf("compiled=%v: %s in Related(%s) = %v, want %v", o.Compiled(), b, a, rel[b], want)
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	// A cycle with no other parent is the case that needs the explicit bit.
+	o := New(ns)
+	o.AddClass(c("A"), c("B"))
+	o.AddClass(c("B"), c("A"))
+	o.Freeze()
+	if rel := o.RelatedIDs(o.ClassID(c("A"))); !slices.Contains(rel, o.ThingID()) {
+		t.Fatalf("RelatedIDs(A) = %v misses Thing", rel)
+	}
 }
 
 // TestCompiledAgreesWithMaps is the central property test for the

@@ -52,8 +52,10 @@ func (p *Profile) InternedFor(o *ontology.Ontology) *InternedProfile {
 }
 
 // Intern resolves the template's concepts against o's compiled index
-// and caches the result; see Profile.Intern for the contract.
+// and caches the result; see Profile.Intern for the contract. It also
+// fixes the QoS floors' order (QoSFloors), with or without an ontology.
 func (t *Template) Intern(o *ontology.Ontology) {
+	t.floors = sortedFloors(t.MinQoS)
 	if o == nil || !o.Compiled() {
 		t.itn = nil
 		return

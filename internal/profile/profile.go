@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"semdisco/internal/codec"
 	"semdisco/internal/ontology"
@@ -339,6 +341,37 @@ type Template struct {
 	// itn caches interned ClassIDs for one compiled ontology (see
 	// intern.go). Immutable once set.
 	itn *InternedTemplate
+	// floors is MinQoS in attribute order, precomputed by Intern.
+	floors []QoSFloor
+}
+
+// QoSFloor is one MinQoS threshold.
+type QoSFloor struct {
+	Attr string
+	Min  float64
+}
+
+// QoSFloors returns MinQoS sorted by attribute name: the fixed order the
+// matcher sums QoS margins in, so a score is the same float however the
+// map iterates. Intern precomputes it; a template never interned gets a
+// freshly sorted copy per call.
+func (t *Template) QoSFloors() []QoSFloor {
+	if t.floors != nil || len(t.MinQoS) == 0 {
+		return t.floors
+	}
+	return sortedFloors(t.MinQoS)
+}
+
+func sortedFloors(minQoS map[string]float64) []QoSFloor {
+	if len(minQoS) == 0 {
+		return nil
+	}
+	out := make([]QoSFloor, 0, len(minQoS))
+	for k, v := range minQoS {
+		out = append(out, QoSFloor{Attr: k, Min: v})
+	}
+	slices.SortFunc(out, func(a, b QoSFloor) int { return strings.Compare(a.Attr, b.Attr) })
+	return out
 }
 
 // Point is a geographic position.

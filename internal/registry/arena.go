@@ -164,7 +164,9 @@ func (sh *shard) release(st *stored) {
 	st.desc = nil
 	st.lease = nil
 	st.toks = nil
-	st.tokPos = nil
+	st.outs = nil
+	st.pos = nil
+	st.cat = -1
 	st.kindPos = -1
 	st.ntPos = -1
 	st.svcSeq.Store(0)

@@ -10,14 +10,21 @@ import (
 )
 
 // queryPlan is everything the store derives from a query payload:
-// the owning model, the decoded query, and its pruning tokens. Plans
-// are immutable once built and safe to share across goroutines — the
+// the owning model, the decoded query, its pruning tokens and the index
+// keys candidate generation filters on (postings.go). Plans are
+// immutable once built and safe to share across goroutines — the
 // description models are read-only after construction.
 type queryPlan struct {
 	model    describe.Model
 	query    describe.Query
 	tokens   []string
 	prunable bool
+	// groups are the query's output constraints (Model.OutputGroups).
+	groups []outGroup
+	// catSet is the category's concept closure (ConceptIndexer), set
+	// only for plans with groups: it lets a scan of an output union test
+	// the category on the entry's key.
+	catSet conceptSet
 	// hash is describe.PayloadHash(kind, payload) for the payload this
 	// plan was decoded from — the query result cache keys on it.
 	hash uint64
@@ -101,8 +108,8 @@ func (c *planCache) size() int {
 }
 
 // plan resolves the query plan for a payload: model dispatch, plan
-// cache lookup, and on a miss DecodeQuery + QueryTokens with the result
-// memoized. Errors are never cached.
+// cache lookup, and on a miss DecodeQuery + QueryTokens + the index keys
+// with the result memoized. Errors are never cached.
 func (s *Store) plan(kind describe.Kind, payload []byte) (*queryPlan, error) {
 	model, ok := s.models.Model(kind)
 	if !ok {
@@ -122,6 +129,12 @@ func (s *Store) plan(kind describe.Kind, payload []byte) (*queryPlan, error) {
 	}
 	tokens, prunable := model.QueryTokens(q)
 	p := &queryPlan{model: model, query: q, tokens: tokens, prunable: prunable, hash: h}
+	p.groups = newOutGroups(model.OutputGroups(q))
+	if ci, ok := model.(describe.ConceptIndexer); ok && len(p.groups) > 0 && prunable {
+		if ids, ok := ci.QueryConceptIDs(q); ok {
+			p.catSet = newConceptSet(ids)
+		}
+	}
 	if s.plans != nil {
 		s.plans.put(kind, payload, h, p)
 	}

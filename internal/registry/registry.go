@@ -118,10 +118,10 @@ type Store struct {
 
 // shard is one lock stripe of the store. Each kind's index (kindIndex)
 // holds dense slices of arena records: all adverts of the kind, the
-// per-token posting buckets for prunable queries, and the token-less
-// adverts every query must consider conservatively. Records carry
-// their positions in these slices, so removal is a swap-remove — no
-// per-advert maps beyond the ID lookup.
+// per-token and per-output-concept posting lists (postings.go), and the
+// token-less adverts every category scan must consider conservatively.
+// Records carry their positions in these slices, so removal is a
+// swap-remove — no per-advert maps beyond the ID lookup.
 type shard struct {
 	mu      sync.RWMutex
 	adverts map[uuid.UUID]*stored
@@ -162,8 +162,11 @@ type shard struct {
 // kindIndex is one kind's dense advert indexes inside a shard.
 type kindIndex struct {
 	all   []*stored         // every advert of the kind; position = stored.kindPos
-	byTok map[tok][]*stored // posting bucket per token; position = stored.tokPos[i]
-	noTok []*stored         // token-less adverts; position = stored.ntPos
+	byTok map[tok][]posting // posting list per token; position = stored.pos[i]
+	noTok []posting         // token-less adverts; position = stored.ntPos
+	// byOut is indexed by output concept ID: the adverts declaring that
+	// output; position = stored.pos[len(toks)+j] for outs[j].
+	byOut [][]posting
 }
 
 // bumpLocked advances the shard generation; the caller holds the shard
@@ -196,7 +199,9 @@ type stored struct {
 	desc    describe.Description
 	lease   *lease.Lease
 	toks    []tok   // interned, deduplicated summary tokens
-	tokPos  []int32 // position in each token's posting bucket
+	outs    []int32 // declared output concept IDs, distinct and ascending
+	pos     []int32 // position in each token's, then each output's, posting list
+	cat     int32   // declared category concept ID, -1 when none
 	kindPos int32   // position in kindIndex.all
 	ntPos   int32   // position in kindIndex.noTok, -1 when tokenized
 	slot    int32   // arena slot, for release
@@ -402,6 +407,13 @@ func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, [
 		return 0, nil, errors.New("registry: advertisement has nil ID")
 	}
 	tokens := model.SummaryTokens(desc)
+	outs := model.OutputConceptIDs(desc)
+	cat := int32(-1)
+	if ci, ok := model.(describe.ConceptIndexer); ok {
+		if id, ok := ci.DescriptionConceptID(desc); ok {
+			cat = id
+		}
+	}
 	svcKey := desc.ServiceKey()
 
 	sh := s.shardFor(adv.ID)
@@ -421,6 +433,8 @@ func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, [
 	st.advert = adv
 	st.desc = desc
 	st.toks = s.toks.internAll(tokens)
+	st.outs = outs
+	st.cat = cat
 	toks := st.toks // slice header survives a concurrent release after unlock
 	sh.insertLocked(st)
 	var granted time.Duration
@@ -472,7 +486,7 @@ func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, [
 		osh.mu.Unlock()
 	}
 
-	notes := s.notifySubs(model, adv, desc, toks, now)
+	notes := s.notifySubs(model, adv, desc, toks, cat, now)
 	if err := s.sync(lsn); err != nil {
 		return granted, notes, fmt.Errorf("%w: %v", ErrDurability, err)
 	}
@@ -491,20 +505,28 @@ func (sh *shard) insertLocked(st *stored) {
 	}
 	st.kindPos = int32(len(ki.all))
 	ki.all = append(ki.all, st)
-	if len(st.toks) == 0 {
-		st.ntPos = int32(len(ki.noTok))
-		ki.noTok = append(ki.noTok, st)
-		return
+	p := st.posting()
+	if n := len(st.toks) + len(st.outs); n > 0 {
+		st.pos = make([]int32, n)
 	}
 	st.ntPos = -1
-	if ki.byTok == nil {
-		ki.byTok = make(map[tok][]*stored)
+	if len(st.toks) == 0 {
+		st.ntPos = int32(len(ki.noTok))
+		ki.noTok = append(ki.noTok, p)
+	} else if ki.byTok == nil {
+		ki.byTok = make(map[tok][]posting)
 	}
-	st.tokPos = make([]int32, len(st.toks))
 	for i, t := range st.toks {
 		b := ki.byTok[t]
-		st.tokPos[i] = int32(len(b))
-		ki.byTok[t] = append(b, st)
+		st.pos[i] = int32(len(b))
+		ki.byTok[t] = append(b, p)
+	}
+	for j, o := range st.outs {
+		if n := int(o) + 1; n > len(ki.byOut) {
+			ki.byOut = append(ki.byOut, make([][]posting, n-len(ki.byOut))...)
+		}
+		st.pos[len(st.toks)+j] = int32(len(ki.byOut[o]))
+		ki.byOut[o] = append(ki.byOut[o], p)
 	}
 }
 
@@ -538,35 +560,32 @@ func (sh *shard) removeLocked(id uuid.UUID) (removedAdvert, bool) {
 	ki.all[last] = nil
 	ki.all = ki.all[:last]
 	if st.ntPos >= 0 {
-		last := len(ki.noTok) - 1
-		moved := ki.noTok[last]
-		ki.noTok[st.ntPos] = moved
-		moved.ntPos = st.ntPos
-		ki.noTok[last] = nil
-		ki.noTok = ki.noTok[:last]
-	} else {
-		for i, t := range st.toks {
-			b := ki.byTok[t]
-			last := len(b) - 1
-			moved := b[last]
-			pos := st.tokPos[i]
-			b[pos] = moved
-			if moved != st {
-				// Fix the moved record's position entry for this token.
-				for j, mt := range moved.toks {
-					if mt == t && moved.tokPos[j] == int32(last) {
-						moved.tokPos[j] = pos
-						break
-					}
-				}
-			}
-			b[last] = nil
-			if last == 0 {
-				delete(ki.byTok, t)
-			} else {
-				ki.byTok[t] = b[:last]
-			}
+		var moved *stored
+		if ki.noTok, moved = unpost(ki.noTok, st.ntPos); moved != nil {
+			moved.ntPos = st.ntPos
 		}
+	}
+	for i, t := range st.toks {
+		b, moved := unpost(ki.byTok[t], st.pos[i])
+		if moved != nil {
+			moved.pos[slices.Index(moved.toks, t)] = st.pos[i]
+		}
+		if len(b) == 0 {
+			delete(ki.byTok, t)
+		} else {
+			ki.byTok[t] = b
+		}
+	}
+	for j, o := range st.outs {
+		pos := st.pos[len(st.toks)+j]
+		b, moved := unpost(ki.byOut[o], pos)
+		if moved != nil {
+			moved.pos[len(moved.toks)+slices.Index(moved.outs, o)] = pos
+		}
+		if len(b) == 0 {
+			b = nil
+		}
+		ki.byOut[o] = b
 	}
 	snap := removedAdvert{advert: st.advert, svcKey: st.desc.ServiceKey(), svcSeq: st.svcSeq.Load()}
 	sh.release(st)
@@ -740,14 +759,16 @@ func (s *Store) EffectiveLimit(opts QueryOptions) int {
 // candidates: a full-kind scan of a big store, or a prunable query
 // whose token neighbourhood is wide (a near-root semantic category).
 // Narrow queries stay on the caller goroutine — under concurrent load
-// the parallelism comes from the shard read locks instead.
+// the parallelism comes from the shard read locks instead. A query with
+// an output constraint is narrow by construction: its scan is bounded
+// by the smallest of its posting unions.
 const (
 	fanOutMinAdverts = 4096
 	fanOutMinTokens  = 16
 )
 
 func (s *Store) fanOut(plan *queryPlan) bool {
-	if len(s.shards) == 1 || stdruntime.GOMAXPROCS(0) < 2 {
+	if len(s.shards) == 1 || stdruntime.GOMAXPROCS(0) < 2 || len(plan.groups) > 0 {
 		return false
 	}
 	if int(s.count.Load()) < fanOutMinAdverts {
@@ -893,8 +914,28 @@ func (sh *shard) collect(kind describe.Kind, plan *queryPlan, qtoks []tok, now t
 			top.push(hit{adv: st.advert, key: st.desc.ServiceKey(), ev: ev, expires: expires})
 		}
 	}
+	if g := ki.smallestGroup(plan, qtoks); g >= 0 {
+		// Output path (postings.go): the union of one output group,
+		// each advert visited in the list of its first output in the
+		// group, filtered on category and the other groups.
+		grp := &plan.groups[g]
+		for _, id := range grp.ids {
+			if int(id) >= len(ki.byOut) {
+				break
+			}
+			list := ki.byOut[id]
+			for i := range list {
+				p := &list[i]
+				if p.firstIn(grp.set) != id || (plan.catSet != nil && !plan.catSet.has(p.cat)) || !p.meets(plan.groups, g) {
+					continue
+				}
+				consider(p.st)
+			}
+		}
+		return
+	}
 	if plan.prunable {
-		// Indexed path: only adverts sharing a token can match, plus
+		// Category path: only adverts sharing a token can match, plus
 		// token-less adverts which are always considered conservatively.
 		// An advert appears in exactly one bucket per distinct token it
 		// carries, and token-less adverts appear in no bucket, so dedup
@@ -902,25 +943,34 @@ func (sh *shard) collect(kind describe.Kind, plan *queryPlan, qtoks []tok, now t
 		// populations (the common case) allocate no map at all.
 		var seen map[uuid.UUID]struct{}
 		for _, t := range qtoks {
-			for _, st := range ki.byTok[t] {
-				if len(st.toks) > 1 {
+			list := ki.byTok[t]
+			for i := range list {
+				p := &list[i]
+				if !p.meets(plan.groups, -1) {
+					continue
+				}
+				if len(p.st.toks) > 1 {
 					if seen == nil {
 						seen = make(map[uuid.UUID]struct{})
 					}
-					if _, dup := seen[st.advert.ID]; dup {
+					if _, dup := seen[p.st.advert.ID]; dup {
 						continue
 					}
-					seen[st.advert.ID] = struct{}{}
+					seen[p.st.advert.ID] = struct{}{}
 				}
-				consider(st)
+				consider(p.st)
 			}
 		}
-		for _, st := range ki.noTok {
-			consider(st)
+		for i := range ki.noTok {
+			if p := &ki.noTok[i]; p.meets(plan.groups, -1) {
+				consider(p.st)
+			}
 		}
 	} else {
 		for _, st := range ki.all {
-			consider(st)
+			if p := st.posting(); p.meets(plan.groups, -1) {
+				consider(st)
+			}
 		}
 	}
 }

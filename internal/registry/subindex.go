@@ -157,7 +157,8 @@ type subCand struct {
 // matches. Candidates come from the inverted index (or the full scan on
 // baseline stores and token-less adverts), are snapshotted under the
 // read lock, sorted back into insertion order, and evaluated lock-free.
-func (s *Store) notifySubs(model describe.Model, adv wire.Advertisement, desc describe.Description, toks []tok, now time.Time) []Notification {
+// cid is the advert's declared concept ID, -1 when it has none.
+func (s *Store) notifySubs(model describe.Model, adv wire.Advertisement, desc describe.Description, toks []tok, cid int32, now time.Time) []Notification {
 	var cands []subCand
 	s.subMu.RLock()
 	if len(s.subs) == 0 {
@@ -170,17 +171,10 @@ func (s *Store) notifySubs(model describe.Model, adv wire.Advertisement, desc de
 		}
 		cands = append(cands, subCand{seq: sub.seq, id: sub.id, notify: sub.notify, query: sub.query})
 	}
-	scanAll := s.subidx == nil
-	var cid int32
-	hasCid := false
-	if !scanAll {
-		if ci, ok := model.(describe.ConceptIndexer); ok {
-			cid, hasCid = ci.DescriptionConceptID(desc)
-		}
-		// A token-less, concept-less advert shares no posting key yet
-		// may match any standing query: fall back to the full scan.
-		scanAll = !hasCid && len(toks) == 0
-	}
+	hasCid := cid >= 0
+	// A token-less, concept-less advert shares no posting key yet may
+	// match any standing query: fall back to the full scan.
+	scanAll := s.subidx == nil || (!hasCid && len(toks) == 0)
 	if scanAll {
 		mSubFallbackScans.Inc()
 		for _, sub := range s.subsArr {

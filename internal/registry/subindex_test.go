@@ -217,6 +217,8 @@ func (m *slowModel) Evaluate(q describe.Query, d describe.Description) describe.
 }
 func (m *slowModel) SummaryTokens(d describe.Description) []string { return nil }
 func (m *slowModel) QueryTokens(q describe.Query) ([]string, bool) { return nil, false }
+func (m *slowModel) OutputConceptIDs(describe.Description) []int32 { return nil }
+func (m *slowModel) OutputGroups(describe.Query) [][]int32         { return nil }
 
 // TestSlowMatchDoesNotBlockSubscribe pins the satellite fix: Publish
 // evaluates standing queries outside subMu, so a slow model match can
