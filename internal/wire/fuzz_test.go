@@ -2,6 +2,7 @@ package wire
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"semdisco/internal/describe"
@@ -67,19 +68,20 @@ func queryCorpusBodies(gen *uuid.Generator) []Body {
 	return bodies
 }
 
-// FuzzUnmarshal hammers the wire decoder with mutated real messages;
-// any panic or accepted-garbage-that-remarshal-differs is a bug.
+// FuzzUnmarshal hammers the wire decoder with mutated real messages,
+// seeded from the golden corpus (one frame of every message type and
+// description kind, plus a batch frame); any panic or
+// accepted-garbage-that-remarshal-differs is a bug.
 func FuzzUnmarshal(f *testing.F) {
-	gen := uuid.NewGenerator(1)
-	for _, body := range append(allBodies(), queryCorpusBodies(gen)...) {
-		b, err := Marshal(NewEnvelope(gen.New(), "lan0/n", body, gen))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+	files := readGolden(f)
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{magic0, magic1})
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(files[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Unmarshal(data)
 		if err != nil {
