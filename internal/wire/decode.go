@@ -98,9 +98,13 @@ func NewDecoder() *Decoder {
 
 // intern returns a stable string for b, allocating only the first time a
 // value is seen (the map lookup keyed by string(b) does not allocate).
+// A nil Decoder interns nothing and allocates every string.
 func (d *Decoder) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
+	}
+	if d == nil {
+		return string(b)
 	}
 	if s, ok := d.strs[string(b)]; ok {
 		return s

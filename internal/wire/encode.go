@@ -5,8 +5,6 @@ import (
 	"sync"
 
 	"semdisco/internal/codec"
-	"semdisco/internal/describe"
-	"semdisco/internal/uuid"
 )
 
 // Wire format: two magic bytes, a version byte, the envelope header,
@@ -58,60 +56,28 @@ func marshalInto(w *codec.Buffer, e *Envelope) error {
 	return marshalBody(w, e.Body)
 }
 
-// Unmarshal decodes a received datagram. Messages with wrong magic,
-// unknown version or unknown type yield an error the caller treats as
-// "silently discard".
+// Unmarshal decodes a received datagram into an envelope the caller
+// owns. Messages with wrong magic, unknown version or unknown type yield
+// an error the caller treats as "silently discard".
+//
+// It is the owning wrapper over Decoder: b is copied, the copy is
+// decoded by a fresh Decoder that is then dropped, and the body comes
+// back in its value form. Nothing in the result aliases b, and nothing
+// else aliases the result.
 func Unmarshal(b []byte) (*Envelope, error) {
-	r := codec.NewReader(b)
-	m0, err := r.Byte()
+	e, err := NewDecoder().Decode(append([]byte(nil), b...))
 	if err != nil {
 		return nil, err
 	}
-	m1, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if m0 != magic0 || m1 != magic1 {
-		return nil, fmt.Errorf("wire: bad magic %02x%02x", m0, m1)
-	}
-	v, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if v != wireVersion {
-		return nil, fmt.Errorf("wire: unsupported version %d", v)
-	}
-	t, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	e := &Envelope{Type: MsgType(t)}
-	from, err := r.Bytes16()
-	if err != nil {
-		return nil, err
-	}
-	e.From = uuid.UUID(from)
-	mid, err := r.Bytes16()
-	if err != nil {
-		return nil, err
-	}
-	e.MsgID = uuid.UUID(mid)
-	if e.FromAddr, err = r.String(); err != nil {
-		return nil, err
-	}
-	if e.Body, err = unmarshalBody(r, e.Type); err != nil {
-		return nil, err
-	}
-	if err := r.Expect(e.Type.String()); err != nil {
-		return nil, err
-	}
-	return e, nil
+	out := *e
+	out.Body = derefBody(e.Body)
+	return &out, nil
 }
 
 // derefBody normalizes pointer bodies to their value form so the
 // marshal switch only has to enumerate each type once. The zero-alloc
-// Decoder emits pointer bodies (reused across envelopes); constructors
-// and tests still build value bodies, and both must marshal.
+// Decoder emits pointer bodies (reused across envelopes); constructors,
+// tests and Unmarshal's callers hold value bodies, and both must marshal.
 func derefBody(body Body) Body {
 	switch b := body.(type) {
 	case *Probe:
@@ -296,361 +262,6 @@ func marshalBody(w *codec.Buffer, body Body) error {
 	return nil
 }
 
-func unmarshalBody(r *codec.Reader, t MsgType) (Body, error) {
-	switch t {
-	case TProbe:
-		return Probe{}, nil
-	case TBye:
-		return Bye{}, nil
-	case TPing:
-		fr, err := r.Bool()
-		return Ping{FromRegistry: fr}, err
-	case TProbeMatch:
-		ps, err := getPeers(r)
-		return ProbeMatch{Peers: ps}, err
-	case TBeacon:
-		ps, err := getPeers(r)
-		return Beacon{Peers: ps}, err
-	case TPong:
-		ps, err := getPeers(r)
-		return Pong{Peers: ps}, err
-	case TPeerExchange:
-		ps, err := getPeers(r)
-		return PeerExchange{Peers: ps}, err
-	case TSummary:
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("wire: summary entry count %d exceeds payload", n)
-		}
-		s := Summary{}
-		for i := uint64(0); i < n; i++ {
-			k, err := r.Byte()
-			if err != nil {
-				return nil, err
-			}
-			toks, err := r.StringSlice()
-			if err != nil {
-				return nil, err
-			}
-			s.Entries = append(s.Entries, SummaryEntry{Kind: describe.Kind(k), Tokens: toks})
-		}
-		return s, nil
-	case TGatewayClaim:
-		y, err := r.Bool()
-		return GatewayClaim{Yield: y}, err
-	case TPublish:
-		a, err := getAdvert(r)
-		return Publish{Advert: a}, err
-	case TPublishAck:
-		var b PublishAck
-		id, err := r.Bytes16()
-		if err != nil {
-			return nil, err
-		}
-		b.AdvertID = uuid.UUID(id)
-		if b.OK, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if b.Error, err = r.String(); err != nil {
-			return nil, err
-		}
-		if b.LeaseMillis, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TRenew:
-		id, err := r.Bytes16()
-		return Renew{AdvertID: uuid.UUID(id)}, err
-	case TRenewAck:
-		var b RenewAck
-		id, err := r.Bytes16()
-		if err != nil {
-			return nil, err
-		}
-		b.AdvertID = uuid.UUID(id)
-		if b.OK, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if b.LeaseMillis, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TRemove:
-		id, err := r.Bytes16()
-		return Remove{AdvertID: uuid.UUID(id)}, err
-	case TAdvertForward:
-		a, err := getAdvert(r)
-		if err != nil {
-			return nil, err
-		}
-		h, err := r.Byte()
-		return AdvertForward{Advert: a, HopsLeft: h}, err
-	case TQuery:
-		var b Query
-		id, err := r.Bytes16()
-		if err != nil {
-			return nil, err
-		}
-		b.QueryID = uuid.UUID(id)
-		k, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
-		b.Kind = describe.Kind(k)
-		pl, err := r.BytesVar()
-		if err != nil {
-			return nil, err
-		}
-		b.Payload = cloneBytes(pl)
-		mr, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b.MaxResults = uint16(mr)
-		if b.BestOnly, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if b.TTL, err = r.Byte(); err != nil {
-			return nil, err
-		}
-		s, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
-		b.Strategy = Strategy(s)
-		if b.Walkers, err = r.Byte(); err != nil {
-			return nil, err
-		}
-		if b.ReplyAddr, err = r.String(); err != nil {
-			return nil, err
-		}
-		if b.NoCache, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if b.Domain, err = r.String(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TQueryResult:
-		var b QueryResult
-		id, err := r.Bytes16()
-		if err != nil {
-			return nil, err
-		}
-		b.QueryID = uuid.UUID(id)
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("wire: advert count %d exceeds payload", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			a, err := getAdvert(r)
-			if err != nil {
-				return nil, err
-			}
-			b.Adverts = append(b.Adverts, a)
-		}
-		if b.Complete, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TPeerQuery:
-		var b PeerQuery
-		id, err := r.Bytes16()
-		if err != nil {
-			return nil, err
-		}
-		b.QueryID = uuid.UUID(id)
-		k, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
-		b.Kind = describe.Kind(k)
-		pl, err := r.BytesVar()
-		if err != nil {
-			return nil, err
-		}
-		b.Payload = cloneBytes(pl)
-		if b.ReplyAddr, err = r.String(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TArtifactGet:
-		iri, err := r.String()
-		return ArtifactGet{IRI: iri}, err
-	case TArtifactData:
-		var b ArtifactData
-		var err error
-		if b.IRI, err = r.String(); err != nil {
-			return nil, err
-		}
-		if b.Found, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		d, err := r.BytesVar()
-		if err != nil {
-			return nil, err
-		}
-		b.Data = cloneBytes(d)
-		return b, nil
-	case TSubscribe:
-		var b Subscribe
-		id, err := r.Bytes16()
-		if err != nil {
-			return nil, err
-		}
-		b.SubID = uuid.UUID(id)
-		k, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
-		b.Kind = describe.Kind(k)
-		pl, err := r.BytesVar()
-		if err != nil {
-			return nil, err
-		}
-		b.Payload = cloneBytes(pl)
-		if b.NotifyAddr, err = r.String(); err != nil {
-			return nil, err
-		}
-		if b.LeaseMillis, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TSubscribeAck:
-		var b SubscribeAck
-		id, err := r.Bytes16()
-		if err != nil {
-			return nil, err
-		}
-		b.SubID = uuid.UUID(id)
-		if b.OK, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if b.Error, err = r.String(); err != nil {
-			return nil, err
-		}
-		if b.LeaseMillis, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TUnsubscribe:
-		id, err := r.Bytes16()
-		return Unsubscribe{SubID: uuid.UUID(id)}, err
-	case TArtifactPut:
-		var b ArtifactPut
-		var err error
-		if b.IRI, err = r.String(); err != nil {
-			return nil, err
-		}
-		d, err := r.BytesVar()
-		if err != nil {
-			return nil, err
-		}
-		b.Data = cloneBytes(d)
-		return b, nil
-	case TArtifactPutAck:
-		var b ArtifactPutAck
-		var err error
-		if b.IRI, err = r.String(); err != nil {
-			return nil, err
-		}
-		if b.OK, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TSummaryDelta:
-		var b SummaryDelta
-		var err error
-		if b.Version, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if b.Base, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if b.Full, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("wire: delta entry count %d exceeds payload", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			k, err := r.Byte()
-			if err != nil {
-				return nil, err
-			}
-			add, err := r.StringSlice()
-			if err != nil {
-				return nil, err
-			}
-			rem, err := r.StringSlice()
-			if err != nil {
-				return nil, err
-			}
-			b.Entries = append(b.Entries, SummaryDeltaEntry{Kind: describe.Kind(k), Add: add, Remove: rem})
-		}
-		return b, nil
-	case TSummaryAck:
-		var b SummaryAck
-		var err error
-		if b.Version, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if b.Resync, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case TDirectoryDelta:
-		var b DirectoryDelta
-		var err error
-		if b.Version, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if b.Base, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if b.Full, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("wire: directory entry count %d exceeds payload", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			en, err := getDirectoryEntry(r)
-			if err != nil {
-				return nil, err
-			}
-			b.Entries = append(b.Entries, en)
-		}
-		return b, nil
-	case TDirectoryAck:
-		var b DirectoryAck
-		var err error
-		if b.Version, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if b.Resync, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown message type %d", t)
-	}
-}
-
 func putPeers(w *codec.Buffer, ps []PeerInfo) {
 	w.Uvarint(uint64(len(ps)))
 	for _, p := range ps {
@@ -659,61 +270,12 @@ func putPeers(w *codec.Buffer, ps []PeerInfo) {
 	}
 }
 
-func getPeers(r *codec.Reader) ([]PeerInfo, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("wire: peer count %d exceeds payload", n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]PeerInfo, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, err := r.Bytes16()
-		if err != nil {
-			return nil, err
-		}
-		addr, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PeerInfo{ID: uuid.UUID(id), Addr: addr})
-	}
-	return out, nil
-}
-
 func putDirectoryEntry(w *codec.Buffer, e DirectoryEntry) {
 	w.String(e.Domain)
 	w.Bytes16(e.Origin)
 	w.String(e.Addr)
 	w.Uvarint(e.Version)
 	w.Bool(e.Tombstone)
-}
-
-func getDirectoryEntry(r *codec.Reader) (DirectoryEntry, error) {
-	var e DirectoryEntry
-	var err error
-	if e.Domain, err = r.String(); err != nil {
-		return e, err
-	}
-	origin, err := r.Bytes16()
-	if err != nil {
-		return e, err
-	}
-	e.Origin = uuid.UUID(origin)
-	if e.Addr, err = r.String(); err != nil {
-		return e, err
-	}
-	if e.Version, err = r.Uvarint(); err != nil {
-		return e, err
-	}
-	if e.Tombstone, err = r.Bool(); err != nil {
-		return e, err
-	}
-	return e, nil
 }
 
 func putAdvert(w *codec.Buffer, a Advertisement) {
@@ -726,40 +288,6 @@ func putAdvert(w *codec.Buffer, a Advertisement) {
 	w.Uvarint(a.Version)
 }
 
-func getAdvert(r *codec.Reader) (Advertisement, error) {
-	var a Advertisement
-	id, err := r.Bytes16()
-	if err != nil {
-		return a, err
-	}
-	a.ID = uuid.UUID(id)
-	prov, err := r.Bytes16()
-	if err != nil {
-		return a, err
-	}
-	a.Provider = uuid.UUID(prov)
-	if a.ProviderAddr, err = r.String(); err != nil {
-		return a, err
-	}
-	k, err := r.Byte()
-	if err != nil {
-		return a, err
-	}
-	a.Kind = describe.Kind(k)
-	pl, err := r.BytesVar()
-	if err != nil {
-		return a, err
-	}
-	a.Payload = cloneBytes(pl)
-	if a.LeaseMillis, err = r.Uvarint(); err != nil {
-		return a, err
-	}
-	if a.Version, err = r.Uvarint(); err != nil {
-		return a, err
-	}
-	return a, nil
-}
-
 // AppendAdvert encodes an advertisement into the buffer using the same
 // layout the protocol messages use. The registry's write-ahead log
 // embeds adverts in its records with this, so the durable format and
@@ -767,9 +295,17 @@ func getAdvert(r *codec.Reader) (Advertisement, error) {
 func AppendAdvert(w *codec.Buffer, a Advertisement) { putAdvert(w, a) }
 
 // ReadAdvert decodes an advertisement written by AppendAdvert (or
-// embedded in a protocol message). The payload is detached from the
-// input buffer, so the advert may be retained.
-func ReadAdvert(r *codec.Reader) (Advertisement, error) { return getAdvert(r) }
+// embedded in a protocol message) with the Decoder's advert reader. The
+// payload is copied out of the input buffer, so the advert may be
+// retained.
+func ReadAdvert(r *codec.Reader) (Advertisement, error) {
+	// A nil Decoder interns nothing: recovery reads every publish record
+	// through here, and a Decoder (a ~2 kB struct with a map) per record
+	// would cost more than the one string it could intern.
+	a, err := (*Decoder)(nil).getAdvert(r)
+	a.Payload = cloneBytes(a.Payload)
+	return a, err
+}
 
 // cloneBytes detaches decoded payloads from the receive buffer so they
 // can be retained safely.
