@@ -97,31 +97,41 @@ func UvarintLen(v uint64) int {
 
 // ForEachInBatch walks a batch frame, calling fn once per inner envelope
 // frame in send order. The slices passed to fn alias the input buffer.
-// Iteration stops at the first fn error; malformed frames (bad header,
-// oversized counts, truncated or trailing bytes) return an error the
-// caller treats as "silently discard".
+// Iteration stops at the first fn error. A malformed frame (bad header,
+// oversized count, truncated or trailing bytes) returns an error the
+// caller treats as "silently discard" before fn has seen any inner frame:
+// the length prefixes are walked once to validate, then again to deliver,
+// so a bad batch is exactly n dropped messages, never a delivered prefix.
 func ForEachInBatch(b []byte, fn func(msg []byte) error) error {
 	if !IsBatchFrame(b) {
 		return fmt.Errorf("wire: not a batch frame")
 	}
-	r := codec.NewReader(b[batchHeaderLen:])
-	n, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	if n > MaxBatchMessages {
-		return fmt.Errorf("wire: batch count %d exceeds limit %d", n, MaxBatchMessages)
-	}
-	for i := uint64(0); i < n; i++ {
-		f, err := r.BytesVar()
+	var r codec.Reader
+	for deliver := 0; deliver < 2; deliver++ {
+		r.Reset(b[batchHeaderLen:])
+		n, err := r.Uvarint()
 		if err != nil {
 			return err
 		}
-		if err := fn(f); err != nil {
+		if n > MaxBatchMessages {
+			return fmt.Errorf("wire: batch count %d exceeds limit %d", n, MaxBatchMessages)
+		}
+		for i := uint64(0); i < n; i++ {
+			f, err := r.BytesVar()
+			if err != nil {
+				return err
+			}
+			if deliver == 1 {
+				if err := fn(f); err != nil {
+					return err
+				}
+			}
+		}
+		if err := r.Expect("batch"); err != nil {
 			return err
 		}
 	}
-	return r.Expect("batch")
+	return nil
 }
 
 // BatchCount returns the number of inner frames a batch frame declares,
