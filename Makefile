@@ -3,7 +3,7 @@ GO ?= go
 # local runs use whatever `staticcheck` is on PATH (skipped if absent).
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test race vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos docs-check
+.PHONY: build test race vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos fuzz docs-check
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,16 @@ chaos:
 	$(GO) test -race -run 'TestFault|TestProbation|TestChaos|TestRetryBackoff|TestStopCancels|TestFallback' ./internal/transport/memnet/... ./internal/discovery/... ./internal/node/... ./internal/integration/...
 	$(GO) test -race -run 'TestDirectory' ./internal/federation/...
 	$(GO) run ./cmd/simdisco -chaos
+
+# Fuzz smoke: every fuzz target for a fixed 10 s each — the wire decoder,
+# runtime.Dispatch (batch splitting + the reused decoder), the Turtle
+# parser and inference. A failing input is written under the package's
+# testdata/fuzz/ and replays in plain `go test` from then on.
+fuzz:
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime=10s
+	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime=10s
+	$(GO) test ./internal/rdf -run '^$$' -fuzz '^FuzzParseTurtle$$' -fuzztime=10s
+	$(GO) test ./internal/rdf -run '^$$' -fuzz '^FuzzInference$$' -fuzztime=10s
 
 # Fault-sweep benchmarks (availability/latency degradation curves);
 # emits BENCH_chaos.json.
