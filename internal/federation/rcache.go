@@ -2,10 +2,10 @@ package federation
 
 import (
 	"bytes"
-	"container/list"
 	"time"
 
 	"semdisco/internal/describe"
+	"semdisco/internal/lru"
 	"semdisco/internal/wire"
 )
 
@@ -28,11 +28,9 @@ import (
 // WAN-expensive remote pools are reused. The Registry is a sans-I/O
 // single-goroutine state machine, so the cache needs no lock.
 type resultCache struct {
-	cap      int
 	maxTTL   time.Duration
 	emptyTTL time.Duration
-	entries  map[rkey]*list.Element
-	lru      *list.List // of *rentry, most recent at front
+	lru      *lru.Cache[rkey, rentry]
 }
 
 // rkey identifies one remote result set. Everything that shapes the
@@ -67,40 +65,28 @@ func rkeyFor(q wire.Query) rkey {
 // respond/MergeRank only read, so serving the same backing arrays to
 // many queries is safe.
 type rentry struct {
-	key     rkey
 	payload []byte
 	pools   [][]wire.Advertisement
 	expires time.Time
 }
 
 func newResultCache(capacity int, maxTTL, emptyTTL time.Duration) *resultCache {
-	return &resultCache{
-		cap:      capacity,
-		maxTTL:   maxTTL,
-		emptyTTL: emptyTTL,
-		entries:  make(map[rkey]*list.Element, capacity),
-		lru:      list.New(),
-	}
+	return &resultCache{maxTTL: maxTTL, emptyTTL: emptyTTL, lru: lru.New[rkey, rentry](capacity)}
 }
 
 // get returns the cached remote pools when a fresh entry exists.
 func (c *resultCache) get(key rkey, payload []byte, now time.Time) ([][]wire.Advertisement, bool) {
-	el, ok := c.entries[key]
-	if !ok {
+	e, ok := c.lru.Get(key)
+	if !ok || !bytes.Equal(e.payload, payload) {
 		fRCacheMisses.Inc()
-		return nil, false
-	}
-	e := el.Value.(*rentry)
-	if !bytes.Equal(e.payload, payload) {
-		fRCacheMisses.Inc()
-		return nil, false // hash collision: miss, never a wrong answer
+		return nil, false // a hash collision is a miss too, never a wrong answer
 	}
 	if now.After(e.expires) {
-		c.remove(el, e)
+		c.lru.Remove(key)
+		fRCacheSize.Set(int64(c.lru.Len()))
 		fRCacheExpired.Inc()
 		return nil, false
 	}
-	c.lru.MoveToFront(el)
 	fRCacheHits.Inc()
 	return e.pools, true
 }
@@ -128,28 +114,7 @@ func (c *resultCache) put(key rkey, payload []byte, pools [][]wire.Advertisement
 	} else if ttl > c.maxTTL {
 		ttl = c.maxTTL
 	}
-	e := &rentry{
-		key:     key,
-		payload: append([]byte(nil), payload...),
-		pools:   pools,
-		expires: now.Add(ttl),
-	}
-	if el, ok := c.entries[key]; ok {
-		el.Value = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(e)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.remove(back, back.Value.(*rentry))
-	}
-	fRCacheSize.Set(int64(c.lru.Len()))
-}
-
-func (c *resultCache) remove(el *list.Element, e *rentry) {
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
+	c.lru.Put(key, rentry{payload: append([]byte(nil), payload...), pools: pools, expires: now.Add(ttl)})
 	fRCacheSize.Set(int64(c.lru.Len()))
 }
 

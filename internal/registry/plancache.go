@@ -2,11 +2,11 @@ package registry
 
 import (
 	"bytes"
-	"container/list"
 	"fmt"
 	"sync"
 
 	"semdisco/internal/describe"
+	"semdisco/internal/lru"
 )
 
 // queryPlan is everything the store derives from a query payload:
@@ -40,67 +40,43 @@ type queryPlan struct {
 // Hash collisions are handled by verifying kind and payload on lookup:
 // a colliding entry is a miss, never a wrong plan.
 type planCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[uint64]*list.Element
-	lru     *list.List // of *planEntry, most recent at front
+	mu  sync.Mutex
+	lru *lru.Cache[uint64, planEntry]
 }
 
 type planEntry struct {
-	hash    uint64
 	kind    describe.Kind
 	payload []byte
 	plan    *queryPlan
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{
-		cap:     capacity,
-		entries: make(map[uint64]*list.Element, capacity),
-		lru:     list.New(),
-	}
+	return &planCache{lru: lru.New[uint64, planEntry](capacity)}
 }
 
 // get returns the cached plan for the payload, or nil on miss.
 func (c *planCache) get(kind describe.Kind, payload []byte, hash uint64) *queryPlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[hash]
-	if !ok {
-		return nil
+	e, ok := c.lru.Get(hash)
+	if !ok || e.kind != kind || !bytes.Equal(e.payload, payload) {
+		return nil // a hash collision is a miss too
 	}
-	e := el.Value.(*planEntry)
-	if e.kind != kind || !bytes.Equal(e.payload, payload) {
-		return nil // hash collision: treat as a miss
-	}
-	c.lru.MoveToFront(el)
 	return e.plan
 }
 
 // put stores a freshly decoded plan, evicting the least recently used
-// entry when the cache is full. The payload is copied: callers may
+// entry when the cache is full; the same hash re-decoded (collision or
+// racing fill) keeps the newest. The payload is copied: callers may
 // reuse their buffer.
 func (c *planCache) put(kind describe.Kind, payload []byte, hash uint64, plan *queryPlan) {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	e := &planEntry{hash: hash, kind: kind, payload: cp, plan: plan}
+	e := planEntry{kind: kind, payload: append([]byte(nil), payload...), plan: plan}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[hash]; ok {
-		// Same hash re-decoded (collision or racing fill): keep the newest.
-		el.Value = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[hash] = c.lru.PushFront(e)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*planEntry).hash)
-	}
+	c.lru.Put(hash, e)
 }
 
-// len reports the number of cached plans (tests).
+// size reports the number of cached plans (tests).
 func (c *planCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,11 +2,11 @@ package registry
 
 import (
 	"bytes"
-	"container/list"
 	"sync"
 	"time"
 
 	"semdisco/internal/describe"
+	"semdisco/internal/lru"
 	"semdisco/internal/wire"
 )
 
@@ -32,9 +32,7 @@ import (
 // never a wrong answer.
 type queryCache struct {
 	mu      sync.Mutex
-	cap     int
-	entries map[qkey]*list.Element
-	lru     *list.List // of *qentry, most recent at front
+	lru     *lru.Cache[qkey, *qentry]
 	flights map[qkey]*qflight
 }
 
@@ -52,7 +50,6 @@ type qkey struct {
 // qentry is one cached result set plus everything needed to prove it is
 // still exact.
 type qentry struct {
-	key     qkey
 	payload []byte
 	adverts []wire.Advertisement
 	// gens is the shard generation vector snapshotted before the
@@ -80,12 +77,7 @@ type qflight struct {
 
 // newQueryCache returns an empty cache bounded to capacity entries.
 func newQueryCache(capacity int) *queryCache {
-	return &queryCache{
-		cap:     capacity,
-		entries: make(map[qkey]*list.Element, capacity),
-		lru:     list.New(),
-		flights: make(map[qkey]*qflight),
-	}
+	return &queryCache{lru: lru.New[qkey, *qentry](capacity), flights: make(map[qkey]*qflight)}
 }
 
 // valid reports whether the entry still answers the query exactly at
@@ -104,8 +96,7 @@ func (e *qentry) valid(s *Store, now time.Time) bool {
 // join, or live computation plus fill.
 func (c *queryCache) evaluate(s *Store, key qkey, payload []byte, kind describe.Kind, plan *queryPlan, limit int, now time.Time) []wire.Advertisement {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*qentry)
+	if e, ok := c.lru.Get(key); ok {
 		if !bytes.Equal(e.payload, payload) {
 			// Hash collision: miss, and leave the resident entry alone.
 			c.mu.Unlock()
@@ -114,14 +105,14 @@ func (c *queryCache) evaluate(s *Store, key qkey, payload []byte, kind describe.
 			return out
 		}
 		if e.valid(s, now) {
-			c.lru.MoveToFront(el)
 			c.mu.Unlock()
 			mQCacheHits.Inc()
 			return cloneAdverts(e.adverts)
 		}
 		// Stale: a generation moved or a lease deadline passed since
 		// the fill. Drop the entry and fall through to recompute.
-		c.removeLocked(el, e)
+		c.lru.Remove(key)
+		mQCacheSize.Set(int64(c.lru.Len()))
 		mQCacheInvalidations.Inc()
 	}
 	if f, ok := c.flights[key]; ok && bytes.Equal(f.payload, payload) {
@@ -148,7 +139,6 @@ func (c *queryCache) evaluate(s *Store, key qkey, payload []byte, kind describe.
 	gens := s.genVector()
 	adverts, minExpiry := s.evaluateLive(kind, plan, limit, now)
 	e := &qentry{
-		key:       key,
 		payload:   append([]byte(nil), payload...),
 		adverts:   adverts,
 		gens:      gens,
@@ -159,33 +149,11 @@ func (c *queryCache) evaluate(s *Store, key qkey, payload []byte, kind describe.
 	c.mu.Lock()
 	f.entry = e
 	delete(c.flights, key)
-	c.insertLocked(e)
+	c.lru.Put(key, e)
+	mQCacheSize.Set(int64(c.lru.Len()))
 	c.mu.Unlock()
 	f.wg.Done()
 	return cloneAdverts(adverts)
-}
-
-// insertLocked adds (or replaces) the entry and evicts from the LRU
-// tail past capacity; the caller holds c.mu.
-func (c *queryCache) insertLocked(e *qentry) {
-	if el, ok := c.entries[e.key]; ok {
-		el.Value = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[e.key] = c.lru.PushFront(e)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.removeLocked(back, back.Value.(*qentry))
-	}
-	mQCacheSize.Set(int64(c.lru.Len()))
-}
-
-// removeLocked unlinks an entry; the caller holds c.mu.
-func (c *queryCache) removeLocked(el *list.Element, e *qentry) {
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
-	mQCacheSize.Set(int64(c.lru.Len()))
 }
 
 // size reports the number of resident entries (tests).

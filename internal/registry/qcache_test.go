@@ -207,9 +207,12 @@ func TestQueryCacheNoCacheBypass(t *testing.T) {
 	// not see the poison while a cached read would.
 	evalMust(t, s, q, QueryOptions{}, t0)
 	s.qcache.mu.Lock()
-	for _, el := range s.qcache.entries {
-		el.Value.(*qentry).adverts[0].Version = 999
+	key := qkey{hash: describe.PayloadHash(describe.KindSemantic, q), kind: describe.KindSemantic, limit: s.EffectiveLimit(QueryOptions{})}
+	e, ok := s.qcache.lru.Get(key)
+	if !ok {
+		t.Fatal("cached fill is not resident")
 	}
+	e.adverts[0].Version = 999
 	s.qcache.mu.Unlock()
 	if got := evalMust(t, s, q, QueryOptions{NoCache: true}, t0); got[0].Version == 999 {
 		t.Fatal("NoCache query served the cached entry")
