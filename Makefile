@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/registry/... ./internal/federation/... ./internal/runtime/... ./internal/ontology/... ./internal/match/... ./internal/describe/... ./internal/profile/... ./internal/workload/... ./internal/wire/... ./internal/transport/... ./internal/sim/... ./internal/node/... ./internal/discovery/...
+	$(GO) test -race ./internal/obs/... ./internal/registry/... ./internal/federation/... ./internal/runtime/... ./internal/ontology/... ./internal/match/... ./internal/describe/... ./internal/profile/... ./internal/workload/... ./internal/wire/... ./internal/transport/... ./internal/sim/... ./internal/node/... ./internal/discovery/... ./internal/integration/...
 
 vet:
 	$(GO) vet ./...

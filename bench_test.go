@@ -603,21 +603,31 @@ func BenchmarkQCacheRepeatedQueryParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkQCacheChurn interleaves each query with a publish, so every
-// lookup finds a freshly invalidated entry — the worst case for the
-// cache. The gap to cache-off is the validation + refill overhead.
+// BenchmarkQCacheChurn interleaves each query with a publish. In the
+// cached and cache-off cases the query is a top category every publish
+// can enter, so every lookup finds a freshly invalidated entry — the
+// worst case for the cache; the gap to cache-off is the validation +
+// refill overhead. The disjoint case queries one leaf while the
+// publishes land in the other leaves: token-keyed generations leave its
+// entry valid, so it runs at hit speed.
 func BenchmarkQCacheChurn(b *testing.B) {
 	for _, v := range []struct {
-		name   string
-		qcache int
+		name     string
+		qcache   int
+		disjoint bool
 	}{
-		{"cached", 0},
-		{"cache-off", -1},
+		{"cached", 0, false},
+		{"cache-off", -1, false},
+		{"disjoint", 0, true},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			s, leaves, tops := registryWithPopulationQC(b, 2000, v.qcache)
-			payload := (&describe.SemanticQuery{Template: &profile.Template{Category: tops[0]}}).Encode()
-			pop := workload.GenProfiles(workload.PopulationSpec{N: 64, Classes: leaves, Seed: benchSeed + 1})
+			query, classes := tops[0], leaves
+			if v.disjoint {
+				query, classes = leaves[0], leaves[1:]
+			}
+			payload := (&describe.SemanticQuery{Template: &profile.Template{Category: query}}).Encode()
+			pop := workload.GenProfiles(workload.PopulationSpec{N: 64, Classes: classes, Seed: benchSeed + 1})
 			gen := uuid.NewGenerator(benchSeed + 1)
 			t0 := time.Unix(0, 0)
 			b.ReportAllocs()

@@ -538,12 +538,42 @@ func (r *Registry) handleSubscribe(from transport.Addr, b *wire.Subscribe) {
 	if notify == "" {
 		notify = string(from)
 	}
-	_, err := r.store.Subscribe(b.Kind, b.Payload, notify, b.SubID, r.now().Add(granted))
-	ack := wire.SubscribeAck{SubID: b.SubID, OK: err == nil, LeaseMillis: uint64(granted / time.Millisecond)}
-	if err != nil {
-		ack.Error = err.Error()
+	subID := b.SubID
+	_, lsn, err := r.store.SubscribeAsync(b.Kind, b.Payload, notify, subID, r.now().Add(granted))
+	r.whenDurable(lsn, func(derr error) {
+		if err == nil {
+			err = derr
+		}
+		ack := wire.SubscribeAck{SubID: subID, OK: err == nil, LeaseMillis: uint64(granted / time.Millisecond)}
+		if err != nil {
+			ack.Error = err.Error()
+		}
+		r.env.Send(from, ack)
+	})
+}
+
+// whenDurable runs fn on the node goroutine once the store mutation
+// that returned lsn is durable (derr == nil) or can no longer be. The
+// handler that applied the mutation returns at once; the barrier runs
+// off the node goroutine and its completion re-enters through the
+// timer queue, exactly like a read-pool result (query.go), so the
+// acknowledgement — and anything else that must not leave before the
+// state is durable — is sent from fn. LSN 0 (memory store) is durable
+// already: fn runs inline, with no re-entry, so a memnet trace is the
+// same as when every mutation was synchronous. A stopped registry runs
+// no completion.
+func (r *Registry) whenDurable(lsn uint64, fn func(derr error)) {
+	if lsn == 0 {
+		fn(nil)
+		return
 	}
-	r.env.Send(from, ack)
+	r.store.WhenDurable(lsn, func(derr error) {
+		r.env.Clock.After(0, func() {
+			if !r.stopped {
+				fn(derr)
+			}
+		})
+	})
 }
 
 func (r *Registry) sendSummaries() {
@@ -618,21 +648,9 @@ func (r *Registry) HandleEnvelope(env *wire.Envelope, from transport.Addr) {
 	case *wire.Publish:
 		r.handlePublish(env, from, b)
 	case *wire.Renew:
-		granted, ok := r.store.Renew(b.AdvertID, r.now())
-		r.env.Send(from, wire.RenewAck{
-			AdvertID:    b.AdvertID,
-			OK:          ok,
-			LeaseMillis: uint64(granted / time.Millisecond),
-		})
-		// Under push replication, renewals must refresh the replicas
-		// too, or they age out at the peers while the original lives.
-		if ok && r.cfg.PushReplication {
-			if adv, have := r.store.Advert(b.AdvertID); have {
-				r.pushAdvert(adv, r.cfg.PushHops, env.From)
-			}
-		}
+		r.handleRenew(env, from, b)
 	case *wire.Remove:
-		r.store.Remove(b.AdvertID)
+		r.store.RemoveAsync(b.AdvertID) // nothing acks it: the record rides the next barrier
 	case *wire.AdvertForward:
 		r.handleAdvertForward(env, b)
 	case *wire.Query:
@@ -682,21 +700,45 @@ func (r *Registry) handlePublish(env *wire.Envelope, from transport.Addr, b *wir
 	// store (the push fan-out below marshals synchronously and may use
 	// either copy).
 	adv := wire.CloneAdvert(b.Advert)
-	granted, notes, err := r.store.Publish(adv, r.now())
-	ack := wire.PublishAck{AdvertID: adv.ID, OK: err == nil, LeaseMillis: uint64(granted / time.Millisecond)}
-	if err != nil {
-		ack.Error = err.Error()
-	}
-	r.env.Send(from, ack)
-	for _, n := range notes {
-		r.env.Send(transport.Addr(n.NotifyAddr), wire.QueryResult{
-			QueryID: n.SubID,
-			Adverts: []wire.Advertisement{n.Advert},
+	origin := env.From
+	granted, notes, lsn, err := r.store.PublishAsync(adv, r.now())
+	r.whenDurable(lsn, func(derr error) {
+		if err == nil {
+			err = derr
+		}
+		ack := wire.PublishAck{AdvertID: adv.ID, OK: err == nil, LeaseMillis: uint64(granted / time.Millisecond)}
+		if err != nil {
+			ack.Error = err.Error()
+		}
+		r.env.Send(from, ack)
+		r.notify(notes)
+		if err == nil && r.cfg.PushReplication {
+			r.pushAdvert(adv, r.cfg.PushHops, origin)
+		}
+	})
+}
+
+func (r *Registry) handleRenew(env *wire.Envelope, from transport.Addr, b *wire.Renew) {
+	id, origin := b.AdvertID, env.From
+	granted, ok, lsn := r.store.RenewAsync(id, r.now())
+	r.whenDurable(lsn, func(derr error) {
+		ok = ok && derr == nil
+		if !ok {
+			granted = 0
+		}
+		r.env.Send(from, wire.RenewAck{
+			AdvertID:    id,
+			OK:          ok,
+			LeaseMillis: uint64(granted / time.Millisecond),
 		})
-	}
-	if err == nil && r.cfg.PushReplication {
-		r.pushAdvert(adv, r.cfg.PushHops, env.From)
-	}
+		// Under push replication, renewals must refresh the replicas
+		// too, or they age out at the peers while the original lives.
+		if ok && r.cfg.PushReplication {
+			if adv, have := r.store.Advert(id); have {
+				r.pushAdvert(adv, r.cfg.PushHops, origin)
+			}
+		}
+	})
 }
 
 func (r *Registry) handleAdvertForward(env *wire.Envelope, b *wire.AdvertForward) {
@@ -708,18 +750,30 @@ func (r *Registry) handleAdvertForward(env *wire.Envelope, b *wire.AdvertForward
 		known = true
 	}
 	adv := wire.CloneAdvert(b.Advert) // payload is borrowed; the store retains it
-	_, notes, err := r.store.Publish(adv, r.now())
+	_, notes, lsn, err := r.store.PublishAsync(adv, r.now())
 	if err != nil {
 		return // stale or unknown kind: drop silently
 	}
+	forward := !known && b.HopsLeft > 0
+	if len(notes) == 0 && !forward {
+		return // nothing waits on the record: it rides the next barrier
+	}
+	hops, origin := b.HopsLeft, env.From
+	r.whenDurable(lsn, func(derr error) {
+		r.notify(notes)
+		if derr == nil && forward {
+			r.pushAdvert(adv, hops-1, origin)
+		}
+	})
+}
+
+// notify sends each standing-query hit of a publish to its subscriber.
+func (r *Registry) notify(notes []registry.Notification) {
 	for _, n := range notes {
 		r.env.Send(transport.Addr(n.NotifyAddr), wire.QueryResult{
 			QueryID: n.SubID,
 			Adverts: []wire.Advertisement{n.Advert},
 		})
-	}
-	if !known && b.HopsLeft > 0 {
-		r.pushAdvert(adv, b.HopsLeft-1, env.From)
 	}
 }
 

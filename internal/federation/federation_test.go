@@ -360,6 +360,43 @@ func TestPushReplication(t *testing.T) {
 	}
 }
 
+// TestPushReplicatedRenewalsNotifyOnce: under push replication the
+// origin re-pushes the unchanged advert on every renewal so the replicas
+// keep their leases. At the peer that re-push is a renewal, not a new
+// publish: a standing query there is notified once for the advert, not
+// once per renewal period.
+func TestPushReplicatedRenewalsNotifyOnce(t *testing.T) {
+	h := newHarness(t)
+	r1 := h.addRegistry("lan0", "r1", Config{PushReplication: true, PushHops: 1})
+	r2 := h.addRegistry("lan1", "r2", Config{Seeds: []wire.PeerInfo{peerInfo(r1)}})
+	h.net.RunFor(time.Second)
+	sub := h.addClient("lan1", "sub")
+	subID := h.gen.New()
+	q := &describe.SemanticQuery{Template: &profile.Template{Category: c("Sensor")}}
+	if _, err := r2.Store().Subscribe(describe.KindSemantic, q.Encode(), string(sub.env.Addr()), subID, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	provider := h.addClient("lan0", "svc")
+	adv := h.semAdvert("urn:svc:radar", "Radar", time.Minute)
+	h.publish(provider, r1, adv)
+	h.net.RunFor(time.Second)
+	const renewals = 5
+	for i := 0; i < renewals; i++ {
+		provider.env.Send(r1.Addr(), wire.Renew{AdvertID: adv.ID})
+		h.net.RunFor(10 * time.Second)
+	}
+	if len(provider.renews) != renewals {
+		t.Fatalf("%d renew acks, want %d", len(provider.renews), renewals)
+	}
+	deadline, ok := r2.Store().LeaseDeadline(adv.ID)
+	if !ok || deadline.Before(h.net.Now().Add(30*time.Second)) {
+		t.Fatalf("replica lease not refreshed by the pushed renewals: %v (held %v)", deadline, ok)
+	}
+	if got := len(sub.results[subID]); got != 1 {
+		t.Fatalf("subscriber on the peer notified %d times across %d replicated renewals, want once", got, renewals)
+	}
+}
+
 func TestSummaryPruning(t *testing.T) {
 	h := newHarness(t)
 	r1 := h.addRegistry("lan0", "r1", Config{SummaryPruning: true, SummaryInterval: 200 * time.Millisecond})

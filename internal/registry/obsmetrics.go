@@ -37,7 +37,7 @@ var (
 	mQCacheMisses = obs.NewCounter("registry.qcache.misses", "count",
 		"queries evaluated live (no resident entry or hash collision)")
 	mQCacheInvalidations = obs.NewCounter("registry.qcache.invalidations", "count",
-		"cached result sets dropped because a shard generation moved or a lease deadline passed")
+		"cached result sets dropped because a generation counter of a token their query can see moved, or a lease deadline passed")
 	mQCacheSize = obs.NewGauge("registry.qcache.size", "count",
 		"resident query result cache entries")
 	mQCacheShared = obs.NewCounter("registry.qcache.singleflight.shared", "count",

@@ -28,6 +28,9 @@ type queryPlan struct {
 	// hash is describe.PayloadHash(kind, payload) for the payload this
 	// plan was decoded from — the query result cache keys on it.
 	hash uint64
+	// deps are the generation counters the plan's cached results depend
+	// on (qcache.go, genDeps).
+	deps []uint32
 }
 
 // planCache memoizes query plans keyed by (kind, payload hash) in an
@@ -104,7 +107,7 @@ func (s *Store) plan(kind describe.Kind, payload []byte) (*queryPlan, error) {
 		return nil, err
 	}
 	tokens, prunable := model.QueryTokens(q)
-	p := &queryPlan{model: model, query: q, tokens: tokens, prunable: prunable, hash: h}
+	p := &queryPlan{model: model, query: q, tokens: tokens, prunable: prunable, hash: h, deps: genDeps(tokens, prunable)}
 	p.groups = newOutGroups(model.OutputGroups(q))
 	if ci, ok := model.(describe.ConceptIndexer); ok && len(p.groups) > 0 && prunable {
 		if ids, ok := ci.QueryConceptIDs(q); ok {

@@ -85,6 +85,10 @@ type Store struct {
 
 	plans  *planCache
 	qcache *queryCache
+	// gens counts result-affecting mutations per token hash bucket
+	// (qcache.go); cached result sets are validated against the buckets
+	// of the tokens their query can see.
+	gens tokenGens
 
 	// backend is the durability boundary (store.go): nil is the memory
 	// store, a *WAL makes every acknowledged mutation crash-safe.
@@ -135,16 +139,6 @@ type shard struct {
 	next     int32
 	free     []int32
 
-	// gen counts mutations that can change query results in this shard
-	// (publish, remove, expiry purge, lease resurrection). The query
-	// result cache stamps each entry with the generation vector it was
-	// computed against; validation is then an O(shards) integer compare.
-	// Bumps happen while the shard write lock is held, so any reader
-	// that can observe mutated shard state also observes the new
-	// generation — a cached entry validated against an old generation is
-	// linearizable before the in-flight write.
-	gen atomic.Uint64
-
 	// nextDeadline caches leases.NextExpiry so the purge scheduler
 	// (NextExpiry/ExpireThrough across all shards) reads one atomic
 	// pointer per shard instead of taking every shard lock per tick.
@@ -168,11 +162,6 @@ type kindIndex struct {
 	// output; position = stored.pos[len(toks)+j] for outs[j].
 	byOut [][]posting
 }
-
-// bumpLocked advances the shard generation; the caller holds the shard
-// write lock and has made (or is about to make) a result-affecting
-// mutation.
-func (sh *shard) bumpLocked() { sh.gen.Add(1) }
 
 // refreshDeadlineLocked re-derives the cached next lease deadline; the
 // caller holds the shard write lock and has just mutated the lease
@@ -265,9 +254,9 @@ type Options struct {
 	PlanCacheSize int
 	// QueryCacheSize bounds the generation-validated query result LRU;
 	// zero means 256, negative disables result caching. Cached results
-	// are exact: entries are validated against per-shard generation
-	// counters and the earliest lease deadline of the results they
-	// hold, so a stale entry can never be served.
+	// are exact: entries are validated against the generation counters
+	// of the tokens their query can see and the earliest lease deadline
+	// of the results they hold, so a stale entry can never be served.
 	QueryCacheSize int
 	// DisableSubIndex keeps Publish's subscription notification on the
 	// linear scan over every standing query instead of the inverted
@@ -385,26 +374,46 @@ type Notification struct {
 }
 
 // Publish stores (or updates) an advertisement and grants its lease.
-// It returns the granted lease duration and any notifications due.
+// It returns the granted lease duration and any notifications due,
+// once the mutation is durable: PublishAsync plus the wait for its
+// barrier.
 //
 // Update semantics follow §4.10: the advertisement ID is the handle;
 // a publish with a known ID and version ≥ stored version replaces the
 // content and refreshes the lease; a lower version is rejected as
-// stale (it may arrive late through a slower forwarding path).
+// stale (it may arrive late through a slower forwarding path). A
+// publish identical to the resident advert (every field, payload bytes
+// included) that still holds its service key is a renewal: it
+// refreshes the lease by Renew's rules and notifies subscribers only
+// if the resident advert had lapsed — push replication re-sends an
+// unchanged advert on every renewal, and a standing query is notified
+// once per publish, not once per lease period.
 func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, []Notification, error) {
+	granted, notes, lsn, err := s.PublishAsync(adv, now)
+	if err == nil {
+		err = s.sync(lsn)
+	}
+	return granted, notes, err
+}
+
+// PublishAsync is Publish without the durability wait: the mutation is
+// applied (and visible to queries) and its log record appended, and the
+// returned LSN is what WhenDurable must settle before the publish may
+// be acknowledged.
+func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Duration, []Notification, uint64, error) {
 	model, ok := s.models.Model(adv.Kind)
 	if !ok {
 		mPublishErrors.Inc()
-		return 0, nil, fmt.Errorf("%w: %v", ErrUnknownKind, adv.Kind)
+		return 0, nil, 0, fmt.Errorf("%w: %v", ErrUnknownKind, adv.Kind)
 	}
 	desc, err := model.DecodeDescription(adv.Payload)
 	if err != nil {
 		mPublishErrors.Inc()
-		return 0, nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+		return 0, nil, 0, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	if adv.ID.IsNil() {
 		mPublishErrors.Inc()
-		return 0, nil, errors.New("registry: advertisement has nil ID")
+		return 0, nil, 0, errors.New("registry: advertisement has nil ID")
 	}
 	tokens := model.SummaryTokens(desc)
 	outs := model.OutputConceptIDs(desc)
@@ -423,10 +432,23 @@ func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, [
 			have := old.advert.Version
 			sh.mu.Unlock()
 			mPublishErrors.Inc()
-			return 0, nil, fmt.Errorf("%w: have v%d, got v%d", ErrStaleVersion, have, adv.Version)
+			return 0, nil, 0, fmt.Errorf("%w: have v%d, got v%d", ErrStaleVersion, have, adv.Version)
 		}
-		// An update may change the description's tokens: unindex first.
-		sh.removeLocked(adv.ID)
+		if sameAdvert(old.advert, adv) && s.holdsServiceKey(svcKey, adv.ID) {
+			granted, wasAlive, lsn := s.renewLocked(sh, old, now)
+			toks, cat := old.toks, old.cat
+			sh.mu.Unlock()
+			mPublish.Inc()
+			var notes []Notification
+			if !wasAlive {
+				notes = s.notifySubs(model, adv, desc, toks, cat, now)
+			}
+			return granted, notes, lsn, nil
+		}
+		// An update may change the description's tokens: unindex first,
+		// and invalidate what the old tokens could see.
+		snap, _ := sh.removeLocked(adv.ID)
+		s.bumpRemoved(snap)
 		s.countAdd(-1)
 	}
 	st := sh.alloc()
@@ -439,7 +461,7 @@ func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, [
 	sh.insertLocked(st)
 	var granted time.Duration
 	st.lease, granted = sh.leases.Grant(adv.ID, time.Duration(adv.LeaseMillis)*time.Millisecond, now)
-	sh.bumpLocked()
+	s.gens.bump(tokens)
 	sh.refreshDeadlineLocked()
 	// The byService mapping (and st.svcSeq) is written while the shard
 	// lock still pins st's arena slot: a racing Remove could otherwise
@@ -472,9 +494,9 @@ func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, [
 		osh := s.shardFor(oldSvc.id)
 		osh.mu.Lock()
 		if prev, ok := osh.adverts[oldSvc.id]; ok && adv.Version >= prev.advert.Version {
-			osh.removeLocked(oldSvc.id)
+			snap, _ := osh.removeLocked(oldSvc.id)
 			osh.leases.Remove(oldSvc.id)
-			osh.bumpLocked()
+			s.bumpRemoved(snap)
 			osh.refreshDeadlineLocked()
 			s.countAdd(-1)
 			if s.backend != nil {
@@ -487,10 +509,28 @@ func (s *Store) Publish(adv wire.Advertisement, now time.Time) (time.Duration, [
 	}
 
 	notes := s.notifySubs(model, adv, desc, toks, cat, now)
-	if err := s.sync(lsn); err != nil {
-		return granted, notes, fmt.Errorf("%w: %v", ErrDurability, err)
+	return granted, notes, lsn, nil
+}
+
+// sameAdvert reports whether a publish carries exactly the resident
+// advert: same handle, version, provider, lease request and payload.
+func sameAdvert(a, b wire.Advertisement) bool {
+	return a.ID == b.ID && a.Version == b.Version && a.Kind == b.Kind &&
+		a.Provider == b.Provider && a.ProviderAddr == b.ProviderAddr &&
+		a.LeaseMillis == b.LeaseMillis && bytes.Equal(a.Payload, b.Payload)
+}
+
+// holdsServiceKey reports whether id is the advert the service-key map
+// names for key (trivially so for a key-less description). A publish
+// that would move the mapping is never treated as a renewal. The
+// caller holds id's shard lock (lock order shard → svcMu).
+func (s *Store) holdsServiceKey(key string, id uuid.UUID) bool {
+	if key == "" {
+		return true
 	}
-	return granted, notes, nil
+	s.svcMu.Lock()
+	defer s.svcMu.Unlock()
+	return s.byService[key].id == id
 }
 
 // insertLocked links st into the shard's kind index; the caller holds
@@ -533,11 +573,13 @@ func (sh *shard) insertLocked(st *stored) {
 // removedAdvert is the by-value snapshot removeLocked takes before the
 // record's arena slot is released: everything a caller may need after
 // the shard lock is dropped (ExpireThrough returns the advert,
-// dropServiceKey compare-and-deletes on key/id/seq). The Payload slice
-// header aliases the immutable publish-time backing array, so copying
-// the struct is safe and cheap.
+// dropServiceKey compare-and-deletes on key/id/seq, bumpRemoved reads
+// the description's tokens). The Payload slice header aliases the
+// immutable publish-time backing array and descriptions are immutable
+// once decoded, so copying the struct is safe and cheap.
 type removedAdvert struct {
 	advert wire.Advertisement
+	desc   describe.Description
 	svcKey string
 	svcSeq uint64
 }
@@ -587,9 +629,23 @@ func (sh *shard) removeLocked(id uuid.UUID) (removedAdvert, bool) {
 		}
 		ki.byOut[o] = b
 	}
-	snap := removedAdvert{advert: st.advert, svcKey: st.desc.ServiceKey(), svcSeq: st.svcSeq.Load()}
+	snap := removedAdvert{advert: st.advert, desc: st.desc, svcKey: st.desc.ServiceKey(), svcSeq: st.svcSeq.Load()}
 	sh.release(st)
 	return snap, true
+}
+
+// summaryTokens re-derives a resident description's summary tokens —
+// the strings its result-cache generation buckets hash (the record
+// keeps only interned IDs).
+func (s *Store) summaryTokens(kind describe.Kind, desc describe.Description) []string {
+	model, _ := s.models.Model(kind) // the advert was stored, so its model exists
+	return model.SummaryTokens(desc)
+}
+
+// bumpRemoved invalidates the cached results a just-removed advert
+// could have been part of; the caller still holds its shard write lock.
+func (s *Store) bumpRemoved(r removedAdvert) {
+	s.gens.bump(s.summaryTokens(r.advert.Kind, r.desc))
 }
 
 // dropServiceKey clears the service-key mapping if it still holds the
@@ -611,51 +667,76 @@ func (s *Store) dropServiceKey(r removedAdvert) {
 
 // Renew refreshes an advertisement lease; ok=false means the registry
 // no longer holds the advertisement (or can no longer record the
-// renewal durably) and the provider must republish.
+// renewal durably) and the provider must republish. It returns once
+// the renewal is durable: RenewAsync plus the wait for its barrier.
 func (s *Store) Renew(id uuid.UUID, now time.Time) (time.Duration, bool) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	st, ok := sh.adverts[id]
-	if !ok {
-		sh.mu.Unlock()
-		return 0, false
-	}
-	// A renew that lands after the lease lapsed but before the purge
-	// sweep resurrects the advert into the result set, so it must
-	// invalidate cached results like a publish would. An ordinary renew
-	// only pushes the deadline out and leaves results unchanged — but a
-	// skewed caller clock can pull a deadline in, which would outlive a
-	// cached entry's expiry stamp, so that case invalidates too.
-	oldExp, wasAlive := st.lease.AliveUntil(now)
-	granted, ok := sh.leases.Renew(id, time.Duration(st.advert.LeaseMillis)*time.Millisecond, now)
-	var lsn uint64
-	if ok {
-		if !wasAlive || now.Add(granted).Before(oldExp) {
-			sh.bumpLocked()
-		}
-		sh.refreshDeadlineLocked()
-		if s.backend != nil {
-			lsn = s.backend.AppendRenew(id, now)
-		}
-	}
-	sh.mu.Unlock()
-	if err := s.sync(lsn); err != nil {
+	granted, ok, lsn := s.RenewAsync(id, now)
+	if ok && s.sync(lsn) != nil {
 		return 0, false
 	}
 	return granted, ok
 }
 
-// Remove withdraws an advertisement explicitly. The removal is applied
-// even if the durability barrier fails — the sticky backend error then
-// surfaces on the next Publish/Renew/Subscribe instead.
+// RenewAsync is Renew without the durability wait; a successful renewal
+// may be acknowledged once WhenDurable settles the returned LSN.
+func (s *Store) RenewAsync(id uuid.UUID, now time.Time) (time.Duration, bool, uint64) {
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st, ok := sh.adverts[id]
+	if !ok {
+		return 0, false, 0
+	}
+	granted, _, lsn := s.renewLocked(sh, st, now)
+	return granted, true, lsn
+}
+
+// renewLocked re-grants st's lease at now and logs the renewal; the
+// caller holds sh's write lock. It also reports whether the advert was
+// alive before the renewal.
+//
+// A renew that lands after the lease lapsed but before the purge sweep
+// resurrects the advert into the result set, so it must invalidate
+// cached results like a publish would. An ordinary renew only pushes
+// the deadline out and leaves results unchanged — but a skewed caller
+// clock can pull a deadline in, which would outlive a cached entry's
+// expiry stamp, so that case invalidates too.
+func (s *Store) renewLocked(sh *shard, st *stored, now time.Time) (granted time.Duration, wasAlive bool, lsn uint64) {
+	oldExp, wasAlive := st.lease.AliveUntil(now)
+	// The lease table holds an entry for every resident advert: both
+	// are dropped together under this lock.
+	granted, _ = sh.leases.Renew(st.advert.ID, time.Duration(st.advert.LeaseMillis)*time.Millisecond, now)
+	if !wasAlive || now.Add(granted).Before(oldExp) {
+		s.gens.bump(s.summaryTokens(st.advert.Kind, st.desc))
+	}
+	sh.refreshDeadlineLocked()
+	if s.backend != nil {
+		lsn = s.backend.AppendRenew(st.advert.ID, now)
+	}
+	return granted, wasAlive, lsn
+}
+
+// Remove withdraws an advertisement explicitly and waits for the
+// durability barrier: RemoveAsync plus the wait. The removal is applied
+// even if the barrier fails — the sticky backend error then surfaces on
+// the next Publish/Renew/Subscribe instead.
 func (s *Store) Remove(id uuid.UUID) bool {
+	ok, lsn := s.RemoveAsync(id)
+	_ = s.sync(lsn)
+	return ok
+}
+
+// RemoveAsync is Remove without the durability wait. Nothing
+// acknowledges a removal on the wire, so its record simply rides the
+// next barrier (or Close).
+func (s *Store) RemoveAsync(id uuid.UUID) (bool, uint64) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	snap, ok := sh.removeLocked(id)
 	var lsn uint64
 	if ok {
 		sh.leases.Remove(id)
-		sh.bumpLocked()
+		s.bumpRemoved(snap)
 		sh.refreshDeadlineLocked()
 		if s.backend != nil {
 			lsn = s.backend.AppendRemove(id)
@@ -663,12 +744,11 @@ func (s *Store) Remove(id uuid.UUID) bool {
 	}
 	sh.mu.Unlock()
 	if !ok {
-		return false
+		return false, 0
 	}
 	s.countAdd(-1)
 	s.dropServiceKey(snap)
-	_ = s.sync(lsn)
-	return true
+	return true, lsn
 }
 
 // ExpireThrough purges every advertisement whose lease deadline is at
@@ -676,10 +756,14 @@ func (s *Store) Remove(id uuid.UUID) bool {
 // obsolete advertisements" (§4.8). Shards whose cached next deadline is
 // in the future are skipped without taking their lock, so an idle tick
 // over a large store costs one atomic load per shard.
+//
+// The sweep does not wait for its log records: nothing acknowledges
+// it, and the barrier of any later acknowledged mutation covers them
+// (LSN order is log order). A sweep lost in a crash is re-derived by
+// the boot sweep after recovery.
 func (s *Store) ExpireThrough(now time.Time) []wire.Advertisement {
 	var out []wire.Advertisement
 	var dropped []removedAdvert
-	var lsn uint64
 	for _, sh := range s.shards {
 		if next := sh.nextDeadline.Load(); next == nil || next.After(now) {
 			continue
@@ -688,23 +772,19 @@ func (s *Store) ExpireThrough(now time.Time) []wire.Advertisement {
 		expired := sh.leases.ExpireThrough(now)
 		for _, id := range expired {
 			if snap, ok := sh.removeLocked(id); ok {
+				s.bumpRemoved(snap)
 				out = append(out, snap.advert)
 				dropped = append(dropped, snap)
 				s.countAdd(-1)
 			}
 		}
-		if len(expired) > 0 {
-			sh.bumpLocked()
-			// The sweep is logged per purged shard, under the shard lock:
-			// purge timing decides whether a later publish of the same ID
-			// replays as a fresh insert or a stale-version reject, so a
-			// record appended after the lock dropped could be misordered
-			// against a racing publish.
-			if s.backend != nil {
-				if l := s.backend.AppendExpire(now); l > lsn {
-					lsn = l
-				}
-			}
+		// The sweep is logged per purged shard, under the shard lock:
+		// purge timing decides whether a later publish of the same ID
+		// replays as a fresh insert or a stale-version reject, so a
+		// record appended after the lock dropped could be misordered
+		// against a racing publish.
+		if len(expired) > 0 && s.backend != nil {
+			s.backend.AppendExpire(now)
 		}
 		sh.refreshDeadlineLocked()
 		sh.mu.Unlock()
@@ -713,7 +793,6 @@ func (s *Store) ExpireThrough(now time.Time) []wire.Advertisement {
 		s.dropServiceKey(snap)
 	}
 	mAdvertsExpired.Add(uint64(len(out)))
-	_ = s.sync(lsn)
 	return out
 }
 
@@ -789,8 +868,9 @@ func (s *Store) fanOut(plan *queryPlan) bool {
 //
 // When the query result cache is enabled (Options.QueryCacheSize) the
 // ranked result set is memoized keyed by (payload hash, kind, effective
-// limit, best-only) and validated against the per-shard generation
-// vector plus the earliest lease deadline it contains — cached answers
+// limit, best-only) and validated against the generation counters of
+// the tokens the query can see plus the earliest lease deadline it
+// contains — cached answers
 // are always exactly what a live evaluation would return. Concurrent
 // identical queries share one computation through a singleflight group.
 func (s *Store) Evaluate(kind describe.Kind, payload []byte, opts QueryOptions, now time.Time) ([]wire.Advertisement, error) {
@@ -813,29 +893,6 @@ func (s *Store) Evaluate(kind describe.Kind, payload []byte, opts QueryOptions, 
 	mEvaluate.Inc()
 	mEvaluateLatency.Observe(time.Since(start).Microseconds())
 	return out, nil
-}
-
-// genVector snapshots every shard generation. The query cache snapshots
-// it *before* reading shard data, so a mutation racing the collection
-// makes the filled entry conservatively stale rather than wrongly
-// fresh.
-func (s *Store) genVector() []uint64 {
-	gens := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		gens[i] = sh.gen.Load()
-	}
-	return gens
-}
-
-// gensCurrent reports whether no result-affecting mutation has happened
-// since gens was snapshotted.
-func (s *Store) gensCurrent(gens []uint64) bool {
-	for i, sh := range s.shards {
-		if sh.gen.Load() != gens[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // evaluateLive runs the uncached evaluation and returns the ranked,
@@ -1218,11 +1275,26 @@ func (s *Store) Has(id uuid.UUID) bool {
 //
 // The subscription is compiled into the inverted notification index
 // here, once — Publish then probes posting lists instead of evaluating
-// every standing query (subindex.go).
+// every standing query (subindex.go). Subscribe returns once the
+// registration is durable: SubscribeAsync plus the wait.
 func (s *Store) Subscribe(kind describe.Kind, payload []byte, notifyAddr string, id uuid.UUID, expires time.Time) (uuid.UUID, error) {
-	plan, err := s.plan(kind, payload)
+	id, lsn, err := s.SubscribeAsync(kind, payload, notifyAddr, id, expires)
+	if err == nil {
+		err = s.sync(lsn)
+	}
 	if err != nil {
 		return uuid.Nil, err
+	}
+	return id, nil
+}
+
+// SubscribeAsync is Subscribe without the durability wait; the
+// registration may be acknowledged once WhenDurable settles the
+// returned LSN.
+func (s *Store) SubscribeAsync(kind describe.Kind, payload []byte, notifyAddr string, id uuid.UUID, expires time.Time) (uuid.UUID, uint64, error) {
+	plan, err := s.plan(kind, payload)
+	if err != nil {
+		return uuid.Nil, 0, err
 	}
 	// The payload is retained on the record (cloned: the wire buffer it
 	// arrived in is reused) so snapshot dumps can re-encode the
@@ -1268,14 +1340,12 @@ func (s *Store) Subscribe(kind describe.Kind, payload []byte, notifyAddr string,
 		lsn = s.backend.AppendSubscribe(id, kind, pl, notifyAddr, expires)
 	}
 	s.subMu.Unlock()
-	if err := s.sync(lsn); err != nil {
-		return uuid.Nil, fmt.Errorf("%w: %v", ErrDurability, err)
-	}
-	return id, nil
+	return id, lsn, nil
 }
 
 // PruneSubscriptions drops standing queries whose lease lapsed and
-// returns how many were removed.
+// returns how many were removed. Like ExpireThrough it does not wait
+// for its log record.
 func (s *Store) PruneSubscriptions(now time.Time) int {
 	s.subMu.Lock()
 	removed := 0
@@ -1292,18 +1362,16 @@ func (s *Store) PruneSubscriptions(now time.Time) int {
 		}
 		removed++
 	}
-	var lsn uint64
 	if removed > 0 {
 		s.compactSubsLocked()
 		s.maybeRebuildSubsLocked()
 		// Logged under subMu for the same misordering reason as
 		// AppendExpire: prune timing is result-affecting for renewals.
 		if s.backend != nil {
-			lsn = s.backend.AppendPruneSubs(now)
+			s.backend.AppendPruneSubs(now)
 		}
 	}
 	s.subMu.Unlock()
-	_ = s.sync(lsn)
 	return removed
 }
 
@@ -1318,6 +1386,8 @@ func (s *Store) NumSubscriptions() int {
 // Unsubscribe removes a standing query in O(1): the array slot is
 // tombstoned (compacted amortized) and the index postings are dropped
 // lazily, so removal cost does not grow with the subscription count.
+// Nothing acknowledges a withdrawal, so it does not wait for its log
+// record either: the record rides the next barrier (or Close).
 func (s *Store) Unsubscribe(id uuid.UUID) bool {
 	s.subMu.Lock()
 	sub, ok := s.subs[id]
@@ -1334,12 +1404,10 @@ func (s *Store) Unsubscribe(id uuid.UUID) bool {
 	}
 	s.compactSubsLocked()
 	s.maybeRebuildSubsLocked()
-	var lsn uint64
 	if s.backend != nil {
-		lsn = s.backend.AppendUnsubscribe(id)
+		s.backend.AppendUnsubscribe(id)
 	}
 	s.subMu.Unlock()
-	_ = s.sync(lsn)
 	return true
 }
 

@@ -21,6 +21,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"semdisco/internal/describe"
@@ -46,11 +47,15 @@ var ErrDurability = errors.New("registry: durable backend failed")
 //     number without blocking on I/O — a buffered write at most — so
 //     the in-memory apply order and the log order can never diverge
 //     for the same key.
-//   - Sync blocks until the record with the given LSN is durable. The
-//     store calls it after releasing its locks and before returning to
-//     the caller, so a successful Publish/Renew/Remove/Subscribe is a
-//     durable one. Concurrent Sync callers may be satisfied by one
-//     shared flush (group commit). A Sync error means durability is
+//   - Barrier registers a completion that runs once the record with
+//     the given LSN — and so every record appended before it — is
+//     durable, and returns without waiting; Sync is the same barrier
+//     plus the wait. The store calls them after releasing its locks:
+//     the blocking Publish/Renew/Remove/Subscribe Sync before
+//     returning, so a successful one is a durable one, while the *Async
+//     forms hand the LSN to the caller, which registers a completion
+//     (the federation acks from it). Completions and syncs sharing one
+//     flush are group commit. A barrier error means durability is
 //     gone, not that the in-memory apply was undone; callers must
 //     surface it as a failed operation.
 //
@@ -79,18 +84,47 @@ type Backend interface {
 	// AppendPruneSubs logs that a subscription sweep at now removed at
 	// least one lapsed standing query.
 	AppendPruneSubs(now time.Time) uint64
-	// Sync blocks until the record with the given LSN is durable.
+	// Barrier runs done once the record with the given LSN is durable,
+	// or with the error that ended durability. It must not block on
+	// I/O; done may run on the caller's goroutine when the LSN is
+	// already durable, and otherwise on the backend's own (so done must
+	// not wait on the backend). Completions run in LSN order, and Close
+	// runs every one still pending.
+	Barrier(lsn uint64, done func(error))
+	// Sync is Barrier plus the wait for its completion: it returns once
+	// the record with the given LSN is durable.
 	Sync(lsn uint64) error
 	// Close flushes and releases the backend. The store must not be
 	// mutated afterwards.
 	Close() error
 }
 
-// sync pushes an assigned LSN through the backend's durability barrier;
-// a nil backend (the memory store) is free.
+// WhenDurable runs done once the mutation that returned lsn from one of
+// the *Async mutators is durable — or with an ErrDurability-wrapped
+// error once it can no longer be. LSN 0 (the memory store, or a
+// mutation that logged nothing) is durable already, and done runs
+// inline. Otherwise done may run on any goroutine: a caller that needs
+// it on its own re-enters from there.
+func (s *Store) WhenDurable(lsn uint64, done func(error)) {
+	if s.backend == nil || lsn == 0 {
+		done(nil)
+		return
+	}
+	s.backend.Barrier(lsn, func(err error) {
+		if err != nil {
+			err = fmt.Errorf("%w: %v", ErrDurability, err)
+		}
+		done(err)
+	})
+}
+
+// sync is the blocking form of WhenDurable.
 func (s *Store) sync(lsn uint64) error {
 	if s.backend == nil || lsn == 0 {
 		return nil
 	}
-	return s.backend.Sync(lsn)
+	if err := s.backend.Sync(lsn); err != nil {
+		return fmt.Errorf("%w: %v", ErrDurability, err)
+	}
+	return nil
 }
