@@ -30,7 +30,7 @@ lint: vet
 bench:
 	sh scripts/bench.sh
 
-# Matchmaking/subsumption benchmarks (compiled vs map baselines) with
+# Matchmaking/subsumption benchmarks (serial and parallel matching) with
 # allocation stats; emits BENCH_match.json.
 bench-match:
 	sh scripts/bench.sh match

@@ -254,12 +254,9 @@ func BenchmarkMatcherSemantic(b *testing.B) {
 // benchMatchWorkload builds the BENCH_match.json matchmaking fixture: a
 // deeper taxonomy than benchOntology and a template exercising every
 // match aspect (category, required outputs, provided inputs, QoS).
-// mapClosures holds the pre-compile implementation as the baseline;
 // intern pre-resolves the concept IDs the way registry decode does.
-func benchMatchWorkload(mapClosures, intern bool) (*match.Matcher, *profile.Template, []*profile.Profile) {
-	onto, levels := workload.GenOntology(workload.OntologySpec{
-		Depth: 6, Branching: 3, MapClosures: mapClosures,
-	})
+func benchMatchWorkload(intern bool) (*match.Matcher, *profile.Template, []*profile.Profile) {
+	onto, levels := workload.GenOntology(workload.OntologySpec{Depth: 6, Branching: 3})
 	pop := workload.GenProfiles(workload.PopulationSpec{
 		N: 256, Classes: levels[3], DataClasses: levels[5], Seed: benchSeed,
 	})
@@ -278,22 +275,21 @@ func benchMatchWorkload(mapClosures, intern bool) (*match.Matcher, *profile.Temp
 	return match.New(onto), tpl, pop
 }
 
-// BenchmarkMatcherMatch is the tentpole headline: compiled (interned
-// IDs + bitsets + memo, the registry evaluate path) and compiled-raw
-// (same ontology, concepts resolved per call — the direct-API path)
-// against maps (the pre-change implementation).
+// BenchmarkMatcherMatch times one match: compiled (interned IDs over
+// the bitset closures, the registry evaluate path), compiled-raw (same
+// ontology, concepts resolved per call — the direct-API path), and
+// parallel (the compiled workload under b.RunParallel, so contention on
+// the shared matcher shows).
 func BenchmarkMatcherMatch(b *testing.B) {
-	variants := []struct {
-		name                string
-		mapClosures, intern bool
+	for _, v := range []struct {
+		name   string
+		intern bool
 	}{
-		{"compiled", false, true},
-		{"compiled-raw", false, false},
-		{"maps", true, false},
-	}
-	for _, v := range variants {
+		{"compiled", true},
+		{"compiled-raw", false},
+	} {
 		b.Run(v.name, func(b *testing.B) {
-			m, tpl, pop := benchMatchWorkload(v.mapClosures, v.intern)
+			m, tpl, pop := benchMatchWorkload(v.intern)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -301,19 +297,28 @@ func BenchmarkMatcherMatch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("parallel", func(b *testing.B) {
+		m, tpl, pop := benchMatchWorkload(true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				m.Match(tpl, pop[i%len(pop)])
+			}
+		})
+	})
 }
 
-// BenchmarkSubsumes compares one subsumption test across the three
-// forms: pre-resolved interned IDs (one word test), compiled string
-// entry points (two map lookups + word test), and the map-based
-// closure baseline.
+// BenchmarkSubsumes compares one subsumption test in its two forms:
+// pre-resolved interned IDs (one word test) and the string entry point
+// (two map lookups + word test).
 func BenchmarkSubsumes(b *testing.B) {
-	spec := workload.OntologySpec{Depth: 6, Branching: 3}
+	onto, levels := workload.GenOntology(workload.OntologySpec{Depth: 6, Branching: 3})
+	top, leaves := levels[1][0], levels[5]
 	b.Run("id", func(b *testing.B) {
-		onto, levels := workload.GenOntology(spec)
-		topID := onto.ClassID(levels[1][0])
-		leafIDs := make([]ontology.ClassID, len(levels[5]))
-		for i, cl := range levels[5] {
+		topID := onto.ClassID(top)
+		leafIDs := make([]ontology.ClassID, len(leaves))
+		for i, cl := range leaves {
 			leafIDs[i] = onto.ClassID(cl)
 		}
 		b.ReportAllocs()
@@ -322,50 +327,26 @@ func BenchmarkSubsumes(b *testing.B) {
 			onto.SubsumesID(topID, leafIDs[i%len(leafIDs)])
 		}
 	})
-	for _, v := range []struct {
-		name        string
-		mapClosures bool
-	}{
-		{"compiled", false},
-		{"maps", true},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			vspec := spec
-			vspec.MapClosures = v.mapClosures
-			onto, levels := workload.GenOntology(vspec)
-			top := levels[1][0]
-			leaves := levels[5]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				onto.Subsumes(top, leaves[i%len(leaves)])
-			}
-		})
-	}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			onto.Subsumes(top, leaves[i%len(leaves)])
+		}
+	})
 }
 
-// BenchmarkSimilarity compares Wu–Palmer similarity on the compiled
-// depth arrays + bitset LCS against the map-based baseline.
+// BenchmarkSimilarity times Wu–Palmer similarity on the depth arrays
+// and the bitset LCS.
 func BenchmarkSimilarity(b *testing.B) {
-	for _, v := range []struct {
-		name        string
-		mapClosures bool
-	}{
-		{"compiled", false},
-		{"maps", true},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			onto, levels := workload.GenOntology(workload.OntologySpec{
-				Depth: 6, Branching: 3, MapClosures: v.mapClosures,
-			})
-			leaves := levels[5]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				onto.Similarity(leaves[i%len(leaves)], leaves[(i+7)%len(leaves)])
-			}
-		})
-	}
+	b.Run("compiled", func(b *testing.B) {
+		onto, levels := workload.GenOntology(workload.OntologySpec{Depth: 6, Branching: 3})
+		leaves := levels[5]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			onto.Similarity(leaves[i%len(leaves)], leaves[(i+7)%len(leaves)])
+		}
+	})
 }
 
 func BenchmarkOntologySubsumes(b *testing.B) {

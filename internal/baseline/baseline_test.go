@@ -5,11 +5,16 @@ import (
 	"testing"
 	"time"
 
+	"semdisco/internal/baseline"
 	"semdisco/internal/describe"
 	"semdisco/internal/discovery"
 	"semdisco/internal/federation"
 	"semdisco/internal/node"
+	"semdisco/internal/profile"
+	"semdisco/internal/runtime"
 	"semdisco/internal/sim"
+	"semdisco/internal/transport"
+	"semdisco/internal/uuid"
 	"semdisco/internal/wire"
 )
 
@@ -264,3 +269,51 @@ func TestDHTRenewAcked(t *testing.T) {
 }
 
 func federationConfigForTest() federation.Config { return federation.Config{} }
+
+// captureIface records every datagram sent through it.
+type captureIface struct{ sent [][]byte }
+
+func (c *captureIface) Addr() transport.Addr { return "central" }
+func (c *captureIface) Unicast(_ transport.Addr, b []byte) error {
+	c.sent = append(c.sent, append([]byte(nil), b...))
+	return nil
+}
+func (c *captureIface) Multicast([]byte) error { return nil }
+func (c *captureIface) Close() error           { return nil }
+
+// TestCentralTiesBreakOnAdvertID: two adverts of one service with equal
+// scores (a churned service re-published under a fresh ID) rank in
+// advert-ID order, so a result cap keeps the same advert on every
+// registry instance, whatever order its map hands the hits out in.
+func TestCentralTiesBreakOnAdvertID(t *testing.T) {
+	onto := sim.DefaultOntology()
+	models := describe.NewRegistry(describe.NewSemanticModel(onto))
+	desc := &describe.SemanticDescription{Profile: &profile.Profile{
+		ServiceIRI: "urn:svc:radar", Category: sim.C("RadarFeed"), Grounding: "urn:g",
+	}}
+	low, high := uuid.UUID{15: 1}, uuid.UUID{15: 2}
+	q := &describe.SemanticQuery{Template: &profile.Template{Category: sim.C("SensorFeed")}}
+	for i := 0; i < 64; i++ {
+		iface := &captureIface{}
+		central := baseline.NewCentral(&runtime.Env{Iface: iface, Gen: uuid.NewGenerator(uint64(i))}, models)
+		for _, id := range []uuid.UUID{high, low} {
+			central.HandleEnvelope(&wire.Envelope{Body: &wire.Publish{Advert: wire.Advertisement{
+				ID: id, Kind: describe.KindSemantic, Payload: desc.Encode(),
+			}}}, "client")
+		}
+		central.HandleEnvelope(&wire.Envelope{Body: &wire.Query{
+			Kind: describe.KindSemantic, Payload: q.Encode(), MaxResults: 1, ReplyAddr: "client",
+		}}, "client")
+		env, err := wire.Unmarshal(iface.sent[len(iface.sent)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ok := env.Body.(wire.QueryResult)
+		if !ok || len(res.Adverts) != 1 {
+			t.Fatalf("registry %d: reply = %#v, want one advert", i, env.Body)
+		}
+		if got := res.Adverts[0].ID; got != low {
+			t.Fatalf("registry %d: kept advert %v, want the lower ID %v", i, got, low)
+		}
+	}
+}

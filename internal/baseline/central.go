@@ -19,10 +19,12 @@
 package baseline
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"semdisco/internal/describe"
+	"semdisco/internal/match"
 	"semdisco/internal/registry"
 	"semdisco/internal/runtime"
 	"semdisco/internal/transport"
@@ -125,15 +127,19 @@ func (c *CentralRegistry) answer(q *wire.Query) {
 					all = append(all, scored{adv: e.advert, ev: ev, key: e.desc.ServiceKey()})
 				}
 			}
-			sort.Slice(all, func(i, j int) bool {
-				a, b := all[i], all[j]
-				if a.ev.Degree != b.ev.Degree {
-					return a.ev.Degree > b.ev.Degree
+			// The registry's rank order: quality, then service key, then
+			// advert ID. The map range above visits hits in random order
+			// and UDDI never supersedes, so adverts sharing a service key
+			// (a service re-published under a fresh ID) need the ID
+			// tiebreak for a seed to give one answer.
+			slices.SortFunc(all, func(a, b scored) int {
+				if c := match.CompareQuality(a.ev.Degree, a.ev.Score, b.ev.Degree, b.ev.Score); c != 0 {
+					return c
 				}
-				if a.ev.Score != b.ev.Score {
-					return a.ev.Score > b.ev.Score
+				if c := strings.Compare(a.key, b.key); c != 0 {
+					return c
 				}
-				return a.key < b.key
+				return uuid.Compare(a.adv.ID, b.adv.ID)
 			})
 			limit := int(q.MaxResults)
 			if limit <= 0 {

@@ -223,8 +223,7 @@ func (m *SemanticModel) OutputConceptIDs(d Description) []int32 {
 // and subsumes or is subsumed by R (Thing included), so a matching
 // description declares an output in every group. An undeclared R or
 // Thing is also served by undeclared outputs, which carry no ID, so
-// those contribute no group; neither does anything when the template
-// was interned without a compiled ontology.
+// those contribute no group.
 func (m *SemanticModel) OutputGroups(q Query) [][]int32 {
 	sq, ok := q.(*SemanticQuery)
 	if !ok {

@@ -76,24 +76,15 @@ func (r Result) Matches(min Degree) bool {
 // Matchers are safe for concurrent use.
 type Matcher struct {
 	onto *ontology.Ontology
-	// memo caches concept comparisons by interned ID pair; non-nil iff
-	// the ontology carried a compiled index when the matcher was built.
-	memo *conceptMemo
 }
 
-// New returns a matcher grounded in the given frozen ontology. When the
-// ontology is compiled (the default at Freeze), the matcher compares
-// concepts by interned ID over the bitset closures and memoizes each
-// comparison; otherwise it runs the original string/map path.
+// New returns a matcher grounded in the given frozen ontology. It
+// compares concepts by interned ID over the ontology's bitset closures.
 func New(o *ontology.Ontology) *Matcher {
 	if o == nil {
 		panic("match: nil ontology")
 	}
-	m := &Matcher{onto: o}
-	if o.Compiled() {
-		m.memo = newConceptMemo()
-	}
-	return m
+	return &Matcher{onto: o}
 }
 
 // Match evaluates the template against the profile. The overall degree
@@ -106,14 +97,9 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 	// Interned views let the hot loops below compare integer IDs with
 	// zero string-map lookups. Absent views (profiles never interned,
 	// or interned against another ontology) resolve IDs per concept;
-	// pairs with an undeclared side fall back to string semantics.
-	compiled := m.memo != nil
-	var ti *profile.InternedTemplate
-	var pi *profile.InternedProfile
-	if compiled {
-		ti = t.InternedFor(m.onto)
-		pi = p.InternedFor(m.onto)
-	}
+	// pairs with an undeclared side keep string semantics.
+	ti := t.InternedFor(m.onto)
+	pi := p.InternedFor(m.onto)
 
 	consider := func(d Degree, sim float64) {
 		if d < overall {
@@ -125,18 +111,16 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 
 	// Category: requested concept vs advertised concept.
 	if t.Category != "" {
-		reqID, advID := ontology.NoClass, ontology.NoClass
-		if compiled {
-			if ti != nil {
-				reqID = ti.Category
-			} else {
-				reqID = m.onto.ClassID(t.Category)
-			}
-			if pi != nil {
-				advID = pi.Category
-			} else {
-				advID = m.onto.ClassID(p.Category)
-			}
+		var reqID, advID ontology.ClassID
+		if ti != nil {
+			reqID = ti.Category
+		} else {
+			reqID = m.onto.ClassID(t.Category)
+		}
+		if pi != nil {
+			advID = pi.Category
+		} else {
+			advID = m.onto.ClassID(p.Category)
 		}
 		d, s := m.evalConcept(t.Category, p.Category, reqID, advID)
 		consider(d, s)
@@ -147,23 +131,19 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 	// Outputs: every required output must be served by the best
 	// advertised output.
 	for i, want := range t.RequiredOutputs {
-		wantID := ontology.NoClass
-		if compiled {
-			if ti != nil {
-				wantID = ti.RequiredOutputs[i]
-			} else {
-				wantID = m.onto.ClassID(want)
-			}
+		var wantID ontology.ClassID
+		if ti != nil {
+			wantID = ti.RequiredOutputs[i]
+		} else {
+			wantID = m.onto.ClassID(want)
 		}
 		best, sim := Fail, 0.0
 		for j, have := range p.Outputs {
-			haveID := ontology.NoClass
-			if compiled {
-				if pi != nil {
-					haveID = pi.Outputs[j]
-				} else {
-					haveID = m.onto.ClassID(have)
-				}
+			var haveID ontology.ClassID
+			if pi != nil {
+				haveID = pi.Outputs[j]
+			} else {
+				haveID = m.onto.ClassID(have)
 			}
 			d, s := m.evalConcept(want, have, wantID, haveID)
 			if d > best || (d == best && s > sim) {
@@ -185,23 +165,19 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 			// that needs input.
 			continue
 		}
-		needID := ontology.NoClass
-		if compiled {
-			if pi != nil {
-				needID = pi.Inputs[i]
-			} else {
-				needID = m.onto.ClassID(need)
-			}
+		var needID ontology.ClassID
+		if pi != nil {
+			needID = pi.Inputs[i]
+		} else {
+			needID = m.onto.ClassID(need)
 		}
 		best, sim := Fail, 0.0
 		for j, have := range t.ProvidedInputs {
-			haveID := ontology.NoClass
-			if compiled {
-				if ti != nil {
-					haveID = ti.ProvidedInputs[j]
-				} else {
-					haveID = m.onto.ClassID(have)
-				}
+			var haveID ontology.ClassID
+			if ti != nil {
+				haveID = ti.ProvidedInputs[j]
+			} else {
+				haveID = m.onto.ClassID(have)
 			}
 			d, s := m.evalConcept(need, have, needID, haveID)
 			if d > best || (d == best && s > sim) {
@@ -249,35 +225,43 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 	return Result{Degree: overall, Score: score}
 }
 
-// conceptDegree compares a requested concept against an advertised one:
+// evalConcept compares a requested concept against an advertised one
+// and returns the degree with, unless it is Fail, their taxonomy
+// similarity:
 //
 //	Exact    advertised == requested
 //	PlugIn   advertised ⊑ requested (a Radar when a Sensor was asked for)
 //	Subsumed requested ⊑ advertised (a Device when a Sensor was asked for)
 //	Fail     otherwise
-func (m *Matcher) conceptDegree(requested, advertised ontology.Class) Degree {
-	switch {
-	case requested == advertised:
-		return Exact
-	case m.onto.Subsumes(requested, advertised):
-		return PlugIn
-	case m.onto.Subsumes(advertised, requested):
-		return Subsumed
-	default:
-		return Fail
-	}
-}
-
-// evalConcept compares one requested/advertised concept pair, routing
-// through the memoized interned-ID fast path when both sides resolved
-// to compiled IDs, and through the original string path otherwise
-// (uncompiled ontology, or an undeclared concept on either side —
-// string equality of two undeclared concepts must still rate Exact).
+//
+// Declared concepts compare by interned ID. An undeclared concept
+// (NoClass) has no ID and similarity 0 to everything, so a pair with
+// one compares by IRI: two equal undeclared concepts rate Exact, and
+// Thing subsumes an undeclared concept (open-world lenience).
 func (m *Matcher) evalConcept(req, adv ontology.Class, reqID, advID ontology.ClassID) (Degree, float64) {
-	if m.memo != nil && reqID != ontology.NoClass && advID != ontology.NoClass {
-		return m.evalConceptID(reqID, advID)
+	if reqID == ontology.NoClass || advID == ontology.NoClass {
+		switch {
+		case req == adv:
+			return Exact, 0
+		case req == ontology.Thing:
+			return PlugIn, 0
+		case adv == ontology.Thing:
+			return Subsumed, 0
+		}
+		return Fail, 0
 	}
-	return m.conceptDegree(req, adv), m.onto.Similarity(req, adv)
+	switch {
+	case reqID == advID:
+		return Exact, 1
+	case m.onto.SubsumesID(reqID, advID):
+		return PlugIn, m.onto.SimilarityID(reqID, advID)
+	case m.onto.SubsumesID(advID, reqID):
+		return Subsumed, m.onto.SimilarityID(reqID, advID)
+	}
+	// A Fail pair's similarity never reaches a Result (Match returns
+	// Fail with score 0 unless a better pair replaces it), so it is
+	// not computed.
+	return Fail, 0
 }
 
 // Ranked pairs a profile with its match result for sorting.

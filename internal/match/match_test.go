@@ -1,6 +1,7 @@
 package match
 
 import (
+	"sync"
 	"testing"
 
 	"semdisco/internal/ontology"
@@ -270,11 +271,11 @@ func TestConceptDegreeProperties(t *testing.T) {
 	//  3. Fail is symmetric.
 	o := testOntology(t)
 	m := New(o)
-	classes := o.Classes()
+	classes := append(o.Classes(), c("Undeclared"), c("Unknown"))
 	for _, req := range classes {
 		for _, adv := range classes {
-			d := m.conceptDegree(req, adv)
-			dual := m.conceptDegree(adv, req)
+			d, _ := m.evalConcept(req, adv, o.ClassID(req), o.ClassID(adv))
+			dual, _ := m.evalConcept(adv, req, o.ClassID(adv), o.ClassID(req))
 			switch d {
 			case Exact:
 				if req != adv {
@@ -343,5 +344,121 @@ func TestMatchWithIOPopulation(t *testing.T) {
 	}
 	if len(hits) != 2 || hits[0] != "urn:1" || hits[1] != "urn:3" {
 		t.Fatalf("I/O filtering = %v", hits)
+	}
+}
+
+func fixtureTemplates() []*profile.Template {
+	return []*profile.Template{
+		{Category: c("Sensor")},
+		{Category: c("Sensor"), RequiredOutputs: []ontology.Class{c("Track")},
+			ProvidedInputs: []ontology.Class{c("CoastalArea")}},
+		{Category: c("Device"), RequiredOutputs: []ontology.Class{c("Observation")}},
+		{Category: c("CoastalRadar")},
+		{Category: c("Camera")},
+		{Category: c("Unknown")},
+		{Category: c("Sensor"), RequiredOutputs: []ontology.Class{c("Image")}},
+		{},
+	}
+}
+
+func fixtureProfiles() []*profile.Profile {
+	return []*profile.Profile{
+		radarService(),
+		{ServiceIRI: "urn:svc:cam", Category: c("Camera"),
+			Outputs: []ontology.Class{c("Image")}, Grounding: "urn:g"},
+		{ServiceIRI: "urn:svc:odd", Category: c("Unknown"), Grounding: "urn:g"},
+		{ServiceIRI: "urn:svc:dev", Category: c("Device"),
+			Inputs:  []ontology.Class{c("Region")},
+			Outputs: []ontology.Class{c("Observation"), c("RadarTrack")}, Grounding: "urn:g"},
+	}
+}
+
+// goldenResults is Match(fixtureTemplates()[i], fixtureProfiles()[j]),
+// computed by the string- and map-based matcher this package replaced.
+// Scores are in shortest round-trip form, so equality is bit-exact.
+var goldenResults = [][]Result{
+	{{PlugIn, 0.8}, {PlugIn, 0.8}, {Fail, 0}, {Subsumed, 0.6666666666666666}},
+	{{PlugIn, 0.8000000000000002}, {Fail, 0}, {Fail, 0}, {Subsumed, 0.6555555555555556}},
+	{{PlugIn, 0.5}, {PlugIn, 0.5833333333333333}, {Fail, 0}, {Exact, 1}},
+	{{Subsumed, 0.8571428571428571}, {Fail, 0}, {Fail, 0}, {Subsumed, 0.4}},
+	{{Fail, 0}, {Exact, 1}, {Fail, 0}, {Subsumed, 0.5}},
+	{{Fail, 0}, {Fail, 0}, {Exact, 0}, {Fail, 0}},
+	{{Fail, 0}, {PlugIn, 0.9}, {Fail, 0}, {Subsumed, 0.6666666666666666}},
+	{{Exact, 1}, {Exact, 1}, {Exact, 1}, {Exact, 1}},
+}
+
+// TestMatchGolden pins the matcher's results bit for bit, whether the
+// inputs are raw, interned against the matcher's ontology, or interned
+// against another one (which the matcher must ignore).
+func TestMatchGolden(t *testing.T) {
+	o := testOntology(t)
+	m := New(o)
+	for _, intern := range []struct {
+		name string
+		onto *ontology.Ontology
+	}{{"raw", nil}, {"interned", o}, {"foreign", testOntology(t)}} {
+		tpls, profs := fixtureTemplates(), fixtureProfiles()
+		for _, tpl := range tpls {
+			tpl.Intern(intern.onto)
+		}
+		for _, p := range profs {
+			p.Intern(intern.onto)
+		}
+		for i, tpl := range tpls {
+			for j, p := range profs {
+				if got, want := m.Match(tpl, p), goldenResults[i][j]; got != want {
+					t.Errorf("%s: Match(t%d, p%d) = %+v, want %+v", intern.name, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMatcherConcurrent hammers one matcher from many goroutines over a
+// frozen ontology; -race in CI proves the match path shares no mutable
+// state. Results are checked against a single-threaded pass.
+func TestMatcherConcurrent(t *testing.T) {
+	o := testOntology(t)
+	m := New(o)
+	tpls := fixtureTemplates()
+	profs := fixtureProfiles()
+	// Mix of interned and raw inputs, like a registry serving decoded
+	// (interned) adverts alongside caller-constructed ones.
+	for _, tpl := range tpls[:4] {
+		tpl.Intern(o)
+	}
+	for _, p := range profs[:2] {
+		p.Intern(o)
+	}
+	want := make([][]Result, len(tpls))
+	for i, tpl := range tpls {
+		want[i] = make([]Result, len(profs))
+		for j, p := range profs {
+			want[i][j] = m.Match(tpl, p)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				ti := (i + g) % len(tpls)
+				pi := (i*3 + g) % len(profs)
+				if got := m.Match(tpls[ti], profs[pi]); got != want[ti][pi] {
+					select {
+					case errs <- "concurrent Match diverged":
+					default:
+					}
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
 	}
 }

@@ -1,28 +1,29 @@
 package ontology
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // ClassID is a dense interned identifier for a declared class, assigned
 // at Freeze when the ontology compiles its taxonomy into array form.
-// IDs are contiguous in [0, NumClassIDs) and follow the lexicographic
+// IDs are contiguous in [0, NumClasses) and follow the lexicographic
 // order of the class IRIs, so ascending-ID iteration yields the same
-// deterministic order as the map-based enumeration helpers.
+// deterministic order as Classes.
 type ClassID int32
 
-// NoClass is the ClassID of an undeclared class (or any class when the
-// ontology was frozen without a compiled index).
+// NoClass is the ClassID of an undeclared class.
 const NoClass ClassID = -1
 
-// compiledIndex is the dense form of the frozen taxonomy: every class
-// interned to a contiguous ID, the reflexive-transitive ancestor and
-// descendant closures as bitset rows, and depth/label arrays. With it,
-// Subsumes is a single word test, LCS is a bitwise AND plus a max-depth
-// scan, and Similarity is pure arithmetic — no string-map traffic on
-// the matchmaking hot path.
+// compiledIndex is the dense form of the frozen taxonomy and the only
+// one queries read: every class interned to a contiguous ID, the
+// reflexive-transitive ancestor and descendant closures as bitset rows,
+// and a depth array. Subsumes is a single word test, LCS is a bitwise
+// AND plus a max-depth scan, and Similarity is pure arithmetic — no
+// string-map traffic on the matchmaking hot path.
 type compiledIndex struct {
 	ids     map[Class]ClassID
 	classes []Class  // by ID, lexicographically sorted
-	labels  []string // by ID; "" means unset
 	depths  []int32  // by ID
 	words   int      // uint64 words per bitset row
 	anc     []uint64 // n×words; row i = reflexive-transitive ancestors of class i
@@ -30,79 +31,139 @@ type compiledIndex struct {
 	thing   ClassID
 }
 
-// compile builds the dense index from the frozen map-based closures and
-// then releases the per-class ancestor maps — the bitsets replace them.
-// Called from Freeze with the closures freshly computed.
+// compile interns the declared classes and computes the closures and
+// depths. Subclass cycles are legal input (they assert class
+// equivalence), so the parent graph is condensed into strongly
+// connected components first (Tarjan) and both the closure and the
+// depths are computed on the resulting DAG: every member of an SCC
+// shares one ancestor row (containing all members) and one depth, and
+// an SCC with no external superclass (a top-level equivalence cluster)
+// sits directly under Thing at depth 1 without a Thing bit in its row.
+// Called from Freeze once parents are resolved.
 func (o *Ontology) compile() {
-	n := len(o.classes)
-	classes := make([]Class, 0, n)
-	for c := range o.classes {
-		classes = append(classes, c)
-	}
-	sortClasses(classes)
+	classes := o.Classes()
+	n := len(classes)
 	ids := make(map[Class]ClassID, n)
 	for i, c := range classes {
 		ids[c] = ClassID(i)
 	}
+	parents := make([][]ClassID, n)
+	for i, c := range classes {
+		for _, p := range o.classes[c].parents {
+			parents[i] = append(parents[i], ids[p])
+		}
+	}
 	words := (n + 63) / 64
-	ci := &compiledIndex{
+	ix := &compiledIndex{
 		ids:     ids,
 		classes: classes,
-		labels:  make([]string, n),
 		depths:  make([]int32, n),
 		words:   words,
 		anc:     make([]uint64, n*words),
 		desc:    make([]uint64, n*words),
 		thing:   ids[Thing],
 	}
-	for i, c := range classes {
-		info := o.classes[c]
-		ci.labels[i] = info.label
-		ci.depths[i] = int32(info.depth)
-		row := ci.anc[i*words : (i+1)*words]
-		for a := range info.ancestors {
-			aid := int(ids[a])
-			row[aid>>6] |= 1 << (aid & 63)
-			ci.desc[aid*words+(i>>6)] |= 1 << (i & 63)
+
+	// Tarjan over parent edges (recursion is fine; ontologies are small
+	// and shallow). It emits an SCC only after every SCC it points to —
+	// here, its superclass SCCs — so each component's row and depth are
+	// final before any subclass component reads them.
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	sccOf := make([]int, n)
+	for i := range index {
+		index[i] = -1
+	}
+	var stack []ClassID
+	counter, sccs := 0, 0
+	var strongconnect func(ClassID)
+	strongconnect = func(v ClassID) {
+		index[v], low[v] = counter, counter
+		counter++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range parents[v] {
+			if index[w] < 0 {
+				strongconnect(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
+			}
+		}
+		if low[v] != index[v] {
+			return
+		}
+		var comp []ClassID
+		for {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[w] = false
+			sccOf[w] = sccs
+			comp = append(comp, w)
+			if w == v {
+				break
+			}
+		}
+		ix.condense(comp, sccs, sccOf, parents)
+		sccs++
+	}
+	for v := range classes {
+		if index[v] < 0 {
+			strongconnect(ClassID(v))
 		}
 	}
-	o.c = ci
-	// The bitsets now carry the closure; drop the maps (members of one
-	// SCC share a map, so nil-ing per class is safe and idempotent).
-	for _, info := range o.classes {
-		info.ancestors = nil
+	for i := 0; i < n; i++ {
+		for w, word := range ix.row(ix.anc, ClassID(i)) {
+			for word != 0 {
+				a := w<<6 + bits.TrailingZeros64(word)
+				ix.desc[a*words+(i>>6)] |= 1 << (i & 63)
+				word &= word - 1
+			}
+		}
+	}
+	o.c = ix
+}
+
+// condense fills the ancestor rows and depths of one SCC (comp, numbered
+// id) from its members and its external parents, whose rows are final.
+func (ix *compiledIndex) condense(comp []ClassID, id int, sccOf []int, parents [][]ClassID) {
+	row := ix.row(ix.anc, comp[0])
+	for _, m := range comp {
+		row[m>>6] |= 1 << (m & 63)
+	}
+	minParentDepth := int32(-1)
+	for _, m := range comp {
+		for _, p := range parents[m] {
+			if sccOf[p] == id {
+				continue
+			}
+			for w, word := range ix.row(ix.anc, p) {
+				row[w] |= word
+			}
+			if minParentDepth == -1 || ix.depths[p] < minParentDepth {
+				minParentDepth = ix.depths[p]
+			}
+		}
+	}
+	depth := minParentDepth + 1
+	switch {
+	case slices.Contains(comp, ix.thing):
+		depth = 0
+	case minParentDepth == -1:
+		// No external superclass: a top-level (possibly cyclic)
+		// cluster, conceptually a direct child of Thing.
+		depth = 1
+	}
+	for _, m := range comp {
+		copy(ix.row(ix.anc, m), row)
+		ix.depths[m] = depth
 	}
 }
 
-func sortClasses(cs []Class) {
-	// Insertion-free path via sort.Slice lives in ontology.go helpers;
-	// kept here as a tiny wrapper to avoid an import cycle of concerns.
-	sortClassSlice(cs)
-}
-
-// DisableCompiledIndex makes Freeze keep the map-based ancestor
-// closures instead of compiling the dense index. Queries then run on
-// the original map path. This exists for tests and benchmarks that
-// compare the two implementations; production code should never call
-// it. Returns ErrFrozen when the ontology is already frozen.
-func (o *Ontology) DisableCompiledIndex() error {
-	if o.frozen {
-		return ErrFrozen
-	}
-	o.compileDisabled = true
-	return nil
-}
-
-// Compiled reports whether the ontology carries the dense interned
-// index (true for any ontology frozen without DisableCompiledIndex).
-func (o *Ontology) Compiled() bool { return o.c != nil }
-
-// ClassID returns the interned ID of c, or NoClass when c is undeclared
-// or the ontology has no compiled index.
+// ClassID returns the interned ID of c, or NoClass when c is undeclared.
 func (o *Ontology) ClassID(c Class) ClassID {
-	if o.c == nil {
-		return NoClass
-	}
+	o.mustFrozen()
 	if id, ok := o.c.ids[c]; ok {
 		return id
 	}
@@ -110,33 +171,28 @@ func (o *Ontology) ClassID(c Class) ClassID {
 }
 
 // ClassByID returns the class interned as id, or "" when id is out of
-// range or the ontology has no compiled index.
+// range.
 func (o *Ontology) ClassByID(id ClassID) Class {
-	if o.c == nil || id < 0 || int(id) >= len(o.c.classes) {
+	o.mustFrozen()
+	if !o.c.valid(id) {
 		return ""
 	}
 	return o.c.classes[id]
 }
 
-// NumClassIDs returns the number of interned classes (equal to
-// NumClasses when compiled, 0 otherwise).
-func (o *Ontology) NumClassIDs() int {
-	if o.c == nil {
-		return 0
-	}
-	return len(o.c.classes)
-}
-
-// ThingID returns the interned ID of Thing (NoClass when uncompiled).
+// ThingID returns the interned ID of Thing.
 func (o *Ontology) ThingID() ClassID {
-	if o.c == nil {
-		return NoClass
-	}
+	o.mustFrozen()
 	return o.c.thing
 }
 
 func (c *compiledIndex) valid(id ClassID) bool {
 	return id >= 0 && int(id) < len(c.classes)
+}
+
+// row is the bitset row of id in the matrix m.
+func (c *compiledIndex) row(m []uint64, id ClassID) []uint64 {
+	return m[int(id)*c.words : (int(id)+1)*c.words]
 }
 
 // bit reports whether row `row` of the matrix m has bit `col` set.
@@ -146,12 +202,13 @@ func (c *compiledIndex) bit(m []uint64, row, col ClassID) bool {
 
 // SubsumesID reports sub ⊑ super over interned IDs: one bounds check
 // and one word test. Thing subsumes every valid ID (top-level
-// equivalence clusters omit Thing from their closure row, matching the
-// map-based semantics, so Thing is special-cased). Invalid IDs subsume
-// nothing and are subsumed by nothing.
+// equivalence clusters omit Thing from their closure row, so Thing is
+// special-cased). Invalid IDs subsume nothing and are subsumed by
+// nothing.
 func (o *Ontology) SubsumesID(super, sub ClassID) bool {
+	o.mustFrozen()
 	c := o.c
-	if c == nil || !c.valid(super) || !c.valid(sub) {
+	if !c.valid(super) || !c.valid(sub) {
 		return false
 	}
 	if super == c.thing {
@@ -164,21 +221,20 @@ func (o *Ontology) SubsumesID(super, sub ClassID) bool {
 // IDs (ties broken toward the smallest ID, i.e. the lexicographically
 // smallest IRI). Invalid IDs yield ThingID.
 func (o *Ontology) LCSID(a, b ClassID) ClassID {
+	o.mustFrozen()
 	c := o.c
-	if c == nil {
-		return NoClass
-	}
 	if !c.valid(a) || !c.valid(b) {
 		return c.thing
 	}
-	ra := c.anc[int(a)*c.words : (int(a)+1)*c.words]
-	rb := c.anc[int(b)*c.words : (int(b)+1)*c.words]
-	best := c.thing
-	bestDepth := int32(-1)
-	if c.depths[c.thing] == 0 { // Thing is always a (conceptual) subsumer
-		bestDepth = 0
-	}
-	for w := 0; w < c.words; w++ {
+	return c.lcs(a, b)
+}
+
+// lcs is LCSID for two valid IDs.
+func (c *compiledIndex) lcs(a, b ClassID) ClassID {
+	ra, rb := c.row(c.anc, a), c.row(c.anc, b)
+	// Thing, at depth 0, is always a (conceptual) subsumer.
+	best, bestDepth := c.thing, int32(0)
+	for w := range ra {
 		shared := ra[w] & rb[w]
 		for shared != 0 {
 			id := ClassID(w<<6 + bits.TrailingZeros64(shared))
@@ -195,8 +251,9 @@ func (o *Ontology) LCSID(a, b ClassID) ClassID {
 // 2·depth(lcs) / (depth(a)+depth(b)); identical IDs score 1, invalid
 // IDs score 0.
 func (o *Ontology) SimilarityID(a, b ClassID) float64 {
+	o.mustFrozen()
 	c := o.c
-	if c == nil || !c.valid(a) || !c.valid(b) {
+	if !c.valid(a) || !c.valid(b) {
 		return 0
 	}
 	if a == b {
@@ -206,23 +263,22 @@ func (o *Ontology) SimilarityID(a, b ClassID) float64 {
 	if da+db == 0 {
 		return 0
 	}
-	lcs := o.LCSID(a, b)
-	return 2 * float64(c.depths[lcs]) / float64(da+db)
+	return 2 * float64(c.depths[c.lcs(a, b)]) / float64(da+db)
 }
 
 // DepthID returns the depth of an interned class (-1 for invalid IDs).
 func (o *Ontology) DepthID(id ClassID) int {
-	c := o.c
-	if c == nil || !c.valid(id) {
+	o.mustFrozen()
+	if !o.c.valid(id) {
 		return -1
 	}
-	return int(c.depths[id])
+	return int(o.c.depths[id])
 }
 
 // rowClasses expands a bitset row into classes in ascending-ID
 // (= lexicographic) order.
-func (c *compiledIndex) rowClasses(m []uint64, row ClassID) []Class {
-	r := m[int(row)*c.words : (int(row)+1)*c.words]
+func (c *compiledIndex) rowClasses(m []uint64, id ClassID) []Class {
+	r := c.row(m, id)
 	count := 0
 	for _, w := range r {
 		count += bits.OnesCount64(w)
@@ -257,40 +313,16 @@ func (c *compiledIndex) relatedWord(id ClassID, w int) uint64 {
 // Unknown classes yield nil.
 func (o *Ontology) Related(cl Class) []Class {
 	o.mustFrozen()
-	if c := o.c; c != nil {
-		id, ok := c.ids[cl]
-		if !ok {
-			return nil
-		}
-		ids := o.RelatedIDs(id)
-		out := make([]Class, len(ids))
-		for i, rid := range ids {
-			out[i] = c.classes[rid]
-		}
-		return out
-	}
-	if cl == Thing {
-		return o.Classes()
-	}
-	if !o.HasClass(cl) {
+	c := o.c
+	id, ok := c.ids[cl]
+	if !ok {
 		return nil
 	}
-	anc := o.Ancestors(cl)
-	seen := make(map[Class]bool, len(anc)+8)
-	out := make([]Class, 0, len(anc)+8)
-	for _, a := range append(anc, Thing) {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
+	ids := o.RelatedIDs(id)
+	out := make([]Class, len(ids))
+	for i, rid := range ids {
+		out[i] = c.classes[rid]
 	}
-	for _, d := range o.Descendants(cl) {
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
-		}
-	}
-	sortClassSlice(out)
 	return out
 }
 
@@ -298,13 +330,11 @@ func (o *Ontology) Related(cl Class) []Class {
 // standing in a subsumption relation with id (reflexive-transitive
 // ancestors and descendants, and Thing; every ID for Thing), ascending.
 // The registry posts standing semantic queries under this closure and
-// filters candidates against it. Nil when the ontology carries no
-// compiled index or id is invalid — callers then fall back to the
-// string-token domain, matching how every other interned path degrades.
+// filters candidates against it. Nil when id is invalid.
 func (o *Ontology) RelatedIDs(id ClassID) []ClassID {
 	o.mustFrozen()
 	c := o.c
-	if c == nil || !c.valid(id) {
+	if !c.valid(id) {
 		return nil
 	}
 	if id == c.thing {

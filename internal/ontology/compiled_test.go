@@ -9,50 +9,176 @@ import (
 	"testing/quick"
 )
 
-// buildRandom constructs the taxonomy described by edges (random parent
-// assignments, including self-loops and subclass cycles) twice: once
-// compiled and once held on the map path via DisableCompiledIndex.
-func buildRandom(t testing.TB, edges []uint8, n int) (compiled, maps *Ontology) {
-	build := func(disable bool) *Ontology {
-		o := New(ns)
-		if disable {
-			if err := o.DisableCompiledIndex(); err != nil {
-				t.Fatal(err)
+// buildRandom constructs the taxonomy described by edges (random
+// parent assignments, including self-loops and subclass cycles) over
+// the classes C0..C(n-1), and returns it with its reference answers.
+func buildRandom(edges []uint8, n int) (*Ontology, *reference) {
+	o := New(ns)
+	declared := make([]Class, n)
+	for i := range declared {
+		declared[i] = c(fmt.Sprintf("C%d", i))
+		o.AddClass(declared[i])
+	}
+	for i, e := range edges {
+		o.AddClass(declared[i%n], declared[int(e)%n])
+	}
+	o.Freeze()
+	return o, newReference(o, declared)
+}
+
+// reference answers the taxonomy queries from Parents() alone, sharing
+// no code with the compiled index: closures come from a breadth-first
+// walk up the parent edges, and depths from the components that mutual
+// ancestry defines (0 for Thing's, 1 for a top-level cluster, otherwise
+// 1 + the minimum depth of the cluster's outside parents).
+type reference struct {
+	classes []Class                  // Thing and every declared class, sorted
+	anc     map[Class]map[Class]bool // reflexive-transitive superclasses
+	depth   map[Class]int
+}
+
+func newReference(o *Ontology, declared []Class) *reference {
+	r := &reference{
+		classes: append([]Class{Thing}, declared...),
+		anc:     make(map[Class]map[Class]bool),
+		depth:   make(map[Class]int),
+	}
+	slices.Sort(r.classes)
+	for _, x := range r.classes {
+		seen := map[Class]bool{x: true}
+		for queue := []Class{x}; len(queue) > 0; queue = queue[1:] {
+			for _, p := range o.Parents(queue[0]) {
+				if !seen[p] {
+					seen[p] = true
+					queue = append(queue, p)
+				}
 			}
 		}
-		for i := 0; i < n; i++ {
-			o.AddClass(c(fmt.Sprintf("C%d", i)))
-		}
-		for i, e := range edges {
-			child := c(fmt.Sprintf("C%d", i%n))
-			parent := c(fmt.Sprintf("C%d", int(e)%n))
-			o.AddClass(child, parent)
-		}
-		o.Freeze()
-		return o
+		r.anc[x] = seen
 	}
-	return build(false), build(true)
+	for _, x := range r.classes {
+		r.depthOf(o, x)
+	}
+	return r
+}
+
+func (r *reference) depthOf(o *Ontology, x Class) int {
+	if d, ok := r.depth[x]; ok {
+		return d
+	}
+	var comp []Class
+	for _, y := range r.classes {
+		if r.anc[x][y] && r.anc[y][x] {
+			comp = append(comp, y)
+		}
+	}
+	d, outside := 1, false
+	for _, m := range comp {
+		for _, p := range o.Parents(m) {
+			if r.anc[p][x] {
+				continue // p is in x's component
+			}
+			if pd := r.depthOf(o, p) + 1; !outside || pd < d {
+				d, outside = pd, true
+			}
+		}
+	}
+	if slices.Contains(comp, Thing) {
+		d = 0
+	}
+	for _, m := range comp {
+		r.depth[m] = d
+	}
+	return d
+}
+
+func (r *reference) known(x Class) bool { return r.anc[x] != nil }
+
+func (r *reference) Depth(x Class) int {
+	if !r.known(x) {
+		return -1
+	}
+	return r.depth[x]
+}
+
+func (r *reference) Subsumes(super, sub Class) bool {
+	return super == Thing || r.anc[sub][super]
+}
+
+// where lists the known classes satisfying keep, sorted; nil when x is
+// unknown.
+func (r *reference) where(x Class, keep func(Class) bool) []Class {
+	if !r.known(x) {
+		return nil
+	}
+	out := []Class{}
+	for _, y := range r.classes {
+		if keep(y) {
+			out = append(out, y)
+		}
+	}
+	return out
+}
+
+func (r *reference) Ancestors(x Class) []Class {
+	return r.where(x, func(y Class) bool { return r.anc[x][y] })
+}
+
+func (r *reference) Descendants(x Class) []Class {
+	return r.where(x, func(y Class) bool { return r.anc[y][x] })
+}
+
+func (r *reference) Related(x Class) []Class {
+	return r.where(x, func(y Class) bool {
+		return x == Thing || y == Thing || r.anc[x][y] || r.anc[y][x]
+	})
+}
+
+// LCS is the deepest shared ancestor, the smallest IRI on ties; Thing
+// when there is none or either class is unknown.
+func (r *reference) LCS(a, b Class) Class {
+	best, bestDepth := Thing, -1
+	for y := range r.anc[a] {
+		if !r.anc[b][y] {
+			continue
+		}
+		if d := r.depth[y]; d > bestDepth || (d == bestDepth && y < best) {
+			best, bestDepth = y, d
+		}
+	}
+	return best
+}
+
+func (r *reference) Similarity(a, b Class) float64 {
+	if !r.known(a) || !r.known(b) {
+		return 0
+	}
+	if a == b {
+		return 1
+	}
+	da, db := r.depth[a], r.depth[b]
+	if da+db == 0 {
+		return 0
+	}
+	return 2 * float64(r.depth[r.LCS(a, b)]) / float64(da+db)
 }
 
 // TestRelatedIsTheSubsumptionNeighbourhood checks Related against its
-// definition on both paths: b ∈ Related(a) exactly when one subsumes
-// the other. Thing subsumes everything, including the members of a
-// top-level subclass cycle, whose closure rows carry no Thing bit.
+// definition: b ∈ Related(a) exactly when one subsumes the other. Thing
+// subsumes everything, including the members of a top-level subclass
+// cycle, whose closure rows carry no Thing bit.
 func TestRelatedIsTheSubsumptionNeighbourhood(t *testing.T) {
 	f := func(edges []uint8) bool {
-		const n = 10
-		co, mo := buildRandom(t, edges, n)
-		for _, o := range []*Ontology{co, mo} {
-			all := o.Classes()
-			for _, a := range all {
-				rel := map[Class]bool{}
-				for _, r := range o.Related(a) {
-					rel[r] = true
-				}
-				for _, b := range all {
-					if want := o.Subsumes(a, b) || o.Subsumes(b, a); rel[b] != want {
-						t.Fatalf("compiled=%v: %s in Related(%s) = %v, want %v", o.Compiled(), b, a, rel[b], want)
-					}
+		o, _ := buildRandom(edges, 10)
+		all := o.Classes()
+		for _, a := range all {
+			rel := map[Class]bool{}
+			for _, r := range o.Related(a) {
+				rel[r] = true
+			}
+			for _, b := range all {
+				if want := o.Subsumes(a, b) || o.Subsumes(b, a); rel[b] != want {
+					t.Fatalf("%s in Related(%s) = %v, want %v", b, a, rel[b], want)
 				}
 			}
 		}
@@ -71,53 +197,43 @@ func TestRelatedIsTheSubsumptionNeighbourhood(t *testing.T) {
 	}
 }
 
-// TestCompiledAgreesWithMaps is the central property test for the
-// compiled index: on randomized DAGs — including SCC/cycle inputs,
+// TestCompiledAgreesWithReference is the central property test for the
+// compiled index: on random taxonomies — including SCC/cycle inputs,
 // since random parent edges routinely close subclass cycles — every
-// query answer from the bitset path must equal the map path's, for all
-// class pairs plus Thing and an undeclared class.
-func TestCompiledAgreesWithMaps(t *testing.T) {
+// query answer must equal the reference's, for all class pairs plus
+// Thing and an undeclared class.
+func TestCompiledAgreesWithReference(t *testing.T) {
 	f := func(edges []uint8) bool {
 		const n = 12
-		co, mo := buildRandom(t, edges, n)
-		if !co.Compiled() || mo.Compiled() {
-			t.Fatalf("Compiled() = %v/%v, want true/false", co.Compiled(), mo.Compiled())
+		o, ref := buildRandom(edges, n)
+		if got := o.Classes(); !reflect.DeepEqual(got, ref.classes) {
+			t.Fatalf("Classes() = %v, want %v", got, ref.classes)
 		}
-		probe := make([]Class, 0, n+2)
-		for i := 0; i < n; i++ {
-			probe = append(probe, c(fmt.Sprintf("C%d", i)))
-		}
-		probe = append(probe, Thing, c("Undeclared"))
+		probe := append(slices.Clone(ref.classes), c("Undeclared"))
 		for _, a := range probe {
-			if got, want := co.Depth(a), mo.Depth(a); got != want {
+			if got, want := o.Depth(a), ref.Depth(a); got != want {
 				t.Fatalf("Depth(%s) = %d, want %d", a, got, want)
 			}
-			if got, want := co.Ancestors(a), mo.Ancestors(a); !reflect.DeepEqual(got, want) {
+			if got, want := o.Ancestors(a), ref.Ancestors(a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Ancestors(%s) = %v, want %v", a, got, want)
 			}
-			if got, want := co.Descendants(a), mo.Descendants(a); !reflect.DeepEqual(got, want) {
+			if got, want := o.Descendants(a), ref.Descendants(a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Descendants(%s) = %v, want %v", a, got, want)
 			}
-			if got, want := co.Related(a), mo.Related(a); !reflect.DeepEqual(got, want) {
+			if got, want := o.Related(a), ref.Related(a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Related(%s) = %v, want %v", a, got, want)
 			}
-			if got, want := co.Label(a), mo.Label(a); got != want {
-				t.Fatalf("Label(%s) = %q, want %q", a, got, want)
-			}
 			for _, b := range probe {
-				if got, want := co.Subsumes(a, b), mo.Subsumes(a, b); got != want {
+				if got, want := o.Subsumes(a, b), ref.Subsumes(a, b); got != want {
 					t.Fatalf("Subsumes(%s, %s) = %v, want %v", a, b, got, want)
 				}
-				if got, want := co.LCS(a, b), mo.LCS(a, b); got != want {
+				if got, want := o.LCS(a, b), ref.LCS(a, b); got != want {
 					t.Fatalf("LCS(%s, %s) = %s, want %s", a, b, got, want)
 				}
-				if got, want := co.Similarity(a, b), mo.Similarity(a, b); got != want {
+				if got, want := o.Similarity(a, b), ref.Similarity(a, b); got != want {
 					t.Fatalf("Similarity(%s, %s) = %v, want %v", a, b, got, want)
 				}
 			}
-		}
-		if !reflect.DeepEqual(co.Classes(), mo.Classes()) {
-			t.Fatal("Classes() enumeration differs")
 		}
 		return true
 	}
@@ -129,8 +245,8 @@ func TestCompiledAgreesWithMaps(t *testing.T) {
 func TestClassIDRoundTrip(t *testing.T) {
 	o := sensorTaxonomy(t)
 	classes := o.Classes()
-	if o.NumClassIDs() != len(classes) {
-		t.Fatalf("NumClassIDs = %d, want %d", o.NumClassIDs(), len(classes))
+	if o.NumClasses() != len(classes) {
+		t.Fatalf("NumClasses = %d, want %d", o.NumClasses(), len(classes))
 	}
 	for i, cl := range classes {
 		id := o.ClassID(cl)
@@ -184,13 +300,6 @@ func TestIDQueriesMatchStringQueries(t *testing.T) {
 	}
 	if o.DepthID(NoClass) != -1 {
 		t.Fatal("invalid-ID depth is not -1")
-	}
-}
-
-func TestDisableCompiledIndexAfterFreeze(t *testing.T) {
-	o := sensorTaxonomy(t)
-	if err := o.DisableCompiledIndex(); err != ErrFrozen {
-		t.Fatalf("DisableCompiledIndex on frozen ontology = %v, want ErrFrozen", err)
 	}
 }
 

@@ -41,20 +41,14 @@ type Ontology struct {
 	frozen  bool
 
 	// c is the dense interned index built at Freeze (see compiled.go);
-	// nil when compileDisabled or before Freeze. When present it answers
-	// every taxonomy query; the map-based implementations remain as the
-	// pre-Freeze/disabled fallback and as the reference the property
-	// tests check the bitsets against.
-	c               *compiledIndex
-	compileDisabled bool
+	// it answers every taxonomy query.
+	c *compiledIndex
 }
 
 type classInfo struct {
-	parents   []Class
-	children  []Class
-	ancestors map[Class]struct{} // reflexive-transitive, computed at Freeze
-	depth     int                // shortest hop count from Thing
-	label     string
+	parents  []Class
+	children []Class
+	label    string
 }
 
 type propInfo struct {
@@ -193,12 +187,8 @@ func (o *Ontology) Freeze() {
 	for _, ci := range o.classes {
 		sort.Slice(ci.children, func(i, j int) bool { return ci.children[i] < ci.children[j] })
 	}
-	// Ancestor closure and depths. Subclass cycles are legal input
-	// (they assert class equivalence), so we condense strongly
-	// connected components first and compute both the closure and the
-	// depths on the resulting DAG: every member of an SCC shares one
-	// ancestor set (containing all members) and one depth.
-	o.computeAncestorsAndDepths()
+	// Ancestor and descendant closures and depths, interned.
+	o.compile()
 	// Property superproperty closure and implicit declarations.
 	for {
 		var missing []Property
@@ -221,9 +211,6 @@ func (o *Ontology) Freeze() {
 	for p := range o.props {
 		o.propClosure(p, make(map[Property]bool))
 	}
-	if !o.compileDisabled {
-		o.compile()
-	}
 	o.frozen = true
 }
 
@@ -238,106 +225,6 @@ func dedupClasses(cs []Class) []Class {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// computeAncestorsAndDepths fills every classInfo.ancestors with the
-// reflexive-transitive superclass set and every depth with the shortest
-// superclass-path length from Thing, correctly handling subclass cycles
-// via Tarjan SCC condensation: all members of an SCC share one ancestor
-// set and one depth, and an SCC with no external superclass (a
-// top-level equivalence cluster) sits directly under Thing at depth 1.
-func (o *Ontology) computeAncestorsAndDepths() {
-	// Tarjan over parent edges (recursion is fine; ontologies are small
-	// and shallow).
-	index := make(map[Class]int, len(o.classes))
-	low := make(map[Class]int, len(o.classes))
-	onStack := make(map[Class]bool, len(o.classes))
-	var stack []Class
-	sccOf := make(map[Class]int, len(o.classes))
-	var sccs [][]Class
-	counter := 0
-
-	var strongconnect func(Class)
-	strongconnect = func(v Class) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range o.classes[v].parents {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			id := len(sccs)
-			var comp []Class
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				sccOf[w] = id
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, comp)
-		}
-	}
-	for c := range o.classes {
-		if _, seen := index[c]; !seen {
-			strongconnect(c)
-		}
-	}
-	// Tarjan emits SCCs in reverse topological order of the condensation
-	// (an SCC is emitted only after all SCCs it points to — here, its
-	// superclass SCCs), so one pass over sccs in emission order computes
-	// closures and depths bottom-up from the roots.
-	closures := make([]map[Class]struct{}, len(sccs))
-	depths := make([]int, len(sccs))
-	thingSCC := sccOf[Thing]
-	for id, comp := range sccs {
-		anc := make(map[Class]struct{}, len(comp)+4)
-		for _, m := range comp {
-			anc[m] = struct{}{}
-		}
-		minParentDepth := -1
-		for _, m := range comp {
-			for _, p := range o.classes[m].parents {
-				pid := sccOf[p]
-				if pid == id {
-					continue
-				}
-				for a := range closures[pid] {
-					anc[a] = struct{}{}
-				}
-				if minParentDepth == -1 || depths[pid] < minParentDepth {
-					minParentDepth = depths[pid]
-				}
-			}
-		}
-		closures[id] = anc
-		switch {
-		case id == thingSCC:
-			depths[id] = 0
-		case minParentDepth == -1:
-			// No external superclass: a top-level (possibly cyclic)
-			// cluster, conceptually a direct child of Thing.
-			depths[id] = 1
-		default:
-			depths[id] = minParentDepth + 1
-		}
-	}
-	for c, ci := range o.classes {
-		ci.ancestors = closures[sccOf[c]]
-		ci.depth = depths[sccOf[c]]
-	}
 }
 
 func (o *Ontology) propClosure(p Property, visiting map[Property]bool) map[Property]struct{} {
@@ -381,54 +268,25 @@ func (o *Ontology) HasProperty(p Property) bool {
 // Subsumes reports whether super subsumes sub, i.e. sub ⊑ super.
 // Reflexive: Subsumes(c, c) is true for declared c. Unknown classes
 // subsume nothing and are subsumed only by Thing (open-world lenience:
-// an unknown class is still a Thing). With a compiled index the check
-// is two ID lookups and one word test; pre-resolved IDs (SubsumesID)
-// skip even those lookups.
+// an unknown class is still a Thing). The check is two ID lookups and
+// one word test; pre-resolved IDs (SubsumesID) skip even the lookups.
 func (o *Ontology) Subsumes(super, sub Class) bool {
 	o.mustFrozen()
 	if super == Thing {
 		return true
 	}
-	if c := o.c; c != nil {
-		subID, ok := c.ids[sub]
-		if !ok {
-			return false
-		}
-		supID, ok := c.ids[super]
-		if !ok {
-			return false
-		}
-		return c.bit(c.anc, subID, supID)
-	}
-	ci, ok := o.classes[sub]
-	if !ok {
-		return false
-	}
-	_, ok = ci.ancestors[super]
-	return ok
+	return o.SubsumesID(o.ClassID(super), o.ClassID(sub))
 }
 
 // Ancestors returns the reflexive-transitive superclasses of c in
 // deterministic order. Unknown classes yield nil.
 func (o *Ontology) Ancestors(c Class) []Class {
 	o.mustFrozen()
-	if ix := o.c; ix != nil {
-		id, ok := ix.ids[c]
-		if !ok {
-			return nil
-		}
-		return ix.rowClasses(ix.anc, id)
-	}
-	ci, ok := o.classes[c]
+	id, ok := o.c.ids[c]
 	if !ok {
 		return nil
 	}
-	out := make([]Class, 0, len(ci.ancestors))
-	for a := range ci.ancestors {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return o.c.rowClasses(o.c.anc, id)
 }
 
 // Parents returns the direct superclasses of c.
@@ -453,60 +311,21 @@ func (o *Ontology) Children(c Class) []Class {
 // Descendants returns all classes subsumed by c (including c itself).
 func (o *Ontology) Descendants(c Class) []Class {
 	o.mustFrozen()
-	if ix := o.c; ix != nil {
-		id, ok := ix.ids[c]
-		if !ok {
-			return nil
-		}
-		return ix.rowClasses(ix.desc, id)
-	}
-	if !o.HasClass(c) {
+	id, ok := o.c.ids[c]
+	if !ok {
 		return nil
 	}
-	var out []Class
-	seen := make(map[Class]bool)
-	var walk func(Class)
-	walk = func(x Class) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		out = append(out, x)
-		for _, ch := range o.classes[x].children {
-			walk(ch)
-		}
-	}
-	walk(c)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return o.c.rowClasses(o.c.desc, id)
 }
 
 // Depth returns the shortest superclass-path length from Thing to c;
 // Thing has depth 0. Unknown classes return -1.
 func (o *Ontology) Depth(c Class) int {
-	o.mustFrozen()
-	if ix := o.c; ix != nil {
-		id, ok := ix.ids[c]
-		if !ok {
-			return -1
-		}
-		return int(ix.depths[id])
-	}
-	ci, ok := o.classes[c]
-	if !ok {
-		return -1
-	}
-	return ci.depth
+	return o.DepthID(o.ClassID(c))
 }
 
 // Label returns the class label, or the IRI local name when unset.
 func (o *Ontology) Label(c Class) string {
-	if ix := o.c; ix != nil {
-		if id, ok := ix.ids[c]; ok && ix.labels[id] != "" {
-			return ix.labels[id]
-		}
-		return localName(string(c))
-	}
 	if ci, ok := o.classes[c]; ok && ci.label != "" {
 		return ci.label
 	}
@@ -517,32 +336,7 @@ func (o *Ontology) Label(c Class) string {
 // both with maximal depth), preferring the lexically smallest on ties.
 // Returns Thing when either class is unknown.
 func (o *Ontology) LCS(a, b Class) Class {
-	o.mustFrozen()
-	if ix := o.c; ix != nil {
-		ida, okA := ix.ids[a]
-		idb, okB := ix.ids[b]
-		if !okA || !okB {
-			return Thing
-		}
-		return ix.classes[o.LCSID(ida, idb)]
-	}
-	ca, okA := o.classes[a]
-	cb, okB := o.classes[b]
-	if !okA || !okB {
-		return Thing
-	}
-	best := Thing
-	bestDepth := -1
-	for anc := range ca.ancestors {
-		if _, shared := cb.ancestors[anc]; !shared {
-			continue
-		}
-		d := o.classes[anc].depth
-		if d > bestDepth || (d == bestDepth && anc < best) {
-			best, bestDepth = anc, d
-		}
-	}
-	return best
+	return o.ClassByID(o.LCSID(o.ClassID(a), o.ClassID(b)))
 }
 
 // Similarity returns the Wu–Palmer similarity of two classes:
@@ -550,29 +344,7 @@ func (o *Ontology) LCS(a, b Class) Class {
 // similarity 1; classes related only through Thing have similarity 0.
 // Unknown classes have similarity 0 to everything, including themselves.
 func (o *Ontology) Similarity(a, b Class) float64 {
-	o.mustFrozen()
-	if ix := o.c; ix != nil {
-		ida, okA := ix.ids[a]
-		idb, okB := ix.ids[b]
-		if !okA || !okB {
-			return 0
-		}
-		return o.SimilarityID(ida, idb)
-	}
-	if a == b && o.HasClass(a) {
-		return 1
-	}
-	ca, okA := o.classes[a]
-	cb, okB := o.classes[b]
-	if !okA || !okB {
-		return 0
-	}
-	lcs := o.LCS(a, b)
-	dl := o.classes[lcs].depth
-	if ca.depth+cb.depth == 0 {
-		return 0
-	}
-	return 2 * float64(dl) / float64(ca.depth+cb.depth)
+	return o.SimilarityID(o.ClassID(a), o.ClassID(b))
 }
 
 // SubPropertyOf reports whether sub ⊑ super in the property hierarchy
@@ -605,21 +377,12 @@ func (o *Ontology) PropertyRange(p Property) Class {
 
 // Classes returns all declared classes in deterministic order.
 func (o *Ontology) Classes() []Class {
-	if ix := o.c; ix != nil {
-		out := make([]Class, len(ix.classes))
-		copy(out, ix.classes)
-		return out
-	}
 	out := make([]Class, 0, len(o.classes))
 	for c := range o.classes {
 		out = append(out, c)
 	}
-	sortClassSlice(out)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func sortClassSlice(cs []Class) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 }
 
 // Properties returns all declared properties in deterministic order.

@@ -2,7 +2,7 @@ package profile
 
 import "semdisco/internal/ontology"
 
-// InternedProfile carries the compiled-ontology ClassIDs of a profile's
+// InternedProfile carries the interned ClassIDs of a profile's
 // category and I/O concepts. The registry interns each stored profile
 // once at decode time so the semantic evaluate loop compares integer
 // IDs instead of IRI strings — zero string-map lookups after the plan
@@ -23,13 +23,13 @@ type InternedTemplate struct {
 	ProvidedInputs  []ontology.ClassID
 }
 
-// Intern resolves the profile's concepts against o's compiled index and
-// caches the result on the profile. A nil or uncompiled ontology clears
-// the cache. Undeclared concepts intern to ontology.NoClass; the
-// matcher falls back to string semantics for those pairs. Not safe for
-// concurrent use with readers — intern before sharing the profile.
+// Intern resolves the profile's concepts against o's interned class IDs
+// and caches the result on the profile; o must be frozen, and a nil
+// ontology clears the cache. Undeclared concepts intern to ontology.NoClass; the matcher
+// compares those pairs by IRI. Not safe for concurrent use with
+// readers — intern before sharing the profile.
 func (p *Profile) Intern(o *ontology.Ontology) {
-	if o == nil || !o.Compiled() {
+	if o == nil {
 		p.itn = nil
 		return
 	}
@@ -51,12 +51,12 @@ func (p *Profile) InternedFor(o *ontology.Ontology) *InternedProfile {
 	return nil
 }
 
-// Intern resolves the template's concepts against o's compiled index
-// and caches the result; see Profile.Intern for the contract. It also
+// Intern resolves the template's concepts against o's interned class
+// IDs and caches the result; see Profile.Intern for the contract. It also
 // fixes the QoS floors' order (QoSFloors), with or without an ontology.
 func (t *Template) Intern(o *ontology.Ontology) {
 	t.floors = sortedFloors(t.MinQoS)
-	if o == nil || !o.Compiled() {
+	if o == nil {
 		t.itn = nil
 		return
 	}

@@ -53,8 +53,8 @@ type Profile struct {
 	// repository (§4.6).
 	OntologyIRI string
 
-	// itn caches interned ClassIDs for one compiled ontology (see
-	// intern.go). Immutable once set; Clone shares it.
+	// itn caches interned ClassIDs for one ontology (see intern.go).
+	// Immutable once set; Clone shares it.
 	itn *InternedProfile
 }
 
@@ -338,8 +338,8 @@ type Template struct {
 	// contain the point.
 	Near *Point
 
-	// itn caches interned ClassIDs for one compiled ontology (see
-	// intern.go). Immutable once set.
+	// itn caches interned ClassIDs for one ontology (see intern.go).
+	// Immutable once set.
 	itn *InternedTemplate
 	// floors is MinQoS in attribute order, precomputed by Intern.
 	floors []QoSFloor

@@ -260,9 +260,8 @@ type Options struct {
 	QueryCacheSize int
 	// DisableSubIndex keeps Publish's subscription notification on the
 	// linear scan over every standing query instead of the inverted
-	// posting-list index. It exists as the property-tested baseline
-	// (mirroring ontology.DisableCompiledIndex); production stores
-	// leave it false.
+	// posting-list index. It exists as the property-tested baseline;
+	// production stores leave it false.
 	DisableSubIndex bool
 	// ArenaSlab is the per-shard advert arena slab size in stored
 	// records; zero means 1024. Smaller slabs waste less memory on

@@ -12,8 +12,8 @@ import (
 // The inverted notification index. A standing query is compiled once at
 // Subscribe into the key domain a publish can probe in O(1):
 //
-//   - a semantic query whose category is declared in a compiled
-//     ontology posts under every concept ID in its subsumption closure
+//   - a semantic query whose category is declared in its ontology
+//     posts under every concept ID in its subsumption closure
 //     (describe.ConceptIndexer → ontology.RelatedIDs), so a declared
 //     advert probes exactly one byConcept bucket;
 //   - any other prunable query posts under its interned summary tokens

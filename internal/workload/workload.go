@@ -26,11 +26,6 @@ type OntologySpec struct {
 	// Seed drives naming-independent determinism (reserved; the
 	// generator is currently fully structural).
 	Seed int64
-	// MapClosures keeps the ontology on the pre-compile map-based
-	// closure path (ontology.DisableCompiledIndex). Benchmarks use it
-	// to hold the original implementation as a fixed baseline against
-	// the compiled fast path.
-	MapClosures bool
 }
 
 func (s OntologySpec) withDefaults() OntologySpec {
@@ -52,11 +47,6 @@ func (s OntologySpec) withDefaults() OntologySpec {
 func GenOntology(spec OntologySpec) (*ontology.Ontology, [][]ontology.Class) {
 	spec = spec.withDefaults()
 	o := ontology.New(spec.NS)
-	if spec.MapClosures {
-		if err := o.DisableCompiledIndex(); err != nil {
-			panic(err)
-		}
-	}
 	levels := make([][]ontology.Class, spec.Depth)
 	root := ontology.Class(spec.NS + "C")
 	if err := o.AddClass(root); err != nil {

@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Runs a benchmark suite with -benchmem and distils the output into a
 # JSON file so the perf trajectory is diffable across PRs. The run's
-# runtime metric snapshot (plan-cache hit rates, match-cache hit rates,
-# scan counts — see OBSERVABILITY.md) is stored under the "obs" key.
+# runtime metric snapshot (plan-cache and result-cache hit rates, scan
+# counts — see OBSERVABILITY.md) is stored under the "obs" key.
 #
 # Usage: scripts/bench.sh [registry|match|chaos|qcache|scale|wal|wire|fed] [benchtime]
 #   registry (default) -> BENCH_registry.json (registry store/evaluate)
 #   match              -> BENCH_match.json (matchmaking + subsumption +
-#                         wire encode, incl. compiled-vs-maps baselines)
+#                         wire encode, incl. parallel matching)
 #   chaos              -> BENCH_chaos.json (fault-sweep availability and
 #                         latency degradation; see simdisco -chaos)
 #   qcache             -> BENCH_qcache.json (query result cache: cached
