@@ -3,7 +3,7 @@ GO ?= go
 # local runs use whatever `staticcheck` is on PATH (skipped if absent).
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test race vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos fuzz docs-check
+.PHONY: build test race vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos fuzz docs-check loc
 
 build:
 	$(GO) build ./...
@@ -97,3 +97,8 @@ bench-pairs:
 # Fails when OBSERVABILITY.md drifts from the metrics registered in code.
 docs-check:
 	sh scripts/check_obs_docs.sh
+
+# Non-test Go lines per package under cmd/, internal/ and examples/,
+# plus the total: the size figure simplicity changes quote.
+loc:
+	sh scripts/loc.sh

@@ -1,10 +1,6 @@
 package registry
 
-import (
-	"sync"
-
-	"semdisco/internal/wire"
-)
+import "sync"
 
 // tok is a store-interned summary-token ID. Tokens are the currency of
 // both the advert token index and the subscription posting lists;
@@ -156,20 +152,38 @@ func (sh *shard) slotAt(slot int32) *stored {
 // release clears a record's references (so the GC can reclaim payloads
 // and descriptions) and returns its slot to the free list. The caller
 // holds the shard write lock and has already unlinked the record from
-// every index. Fields are cleared individually — a struct assignment
-// would copy the atomic svcSeq, which vet rejects.
+// every index and the expiry heap.
 func (sh *shard) release(st *stored) {
-	slot := st.slot
-	st.advert = wire.Advertisement{}
-	st.desc = nil
-	st.lease = nil
-	st.toks = nil
-	st.outs = nil
-	st.pos = nil
-	st.cat = -1
-	st.kindPos = -1
-	st.ntPos = -1
-	st.svcSeq.Store(0)
-	sh.free = append(sh.free, slot)
+	sh.free = append(sh.free, st.slot)
+	*st = stored{}
 	mArenaFree.Add(1)
+}
+
+// expiryHeap is a shard's min-heap of resident records by lease
+// deadline (container/heap); each record keeps its position in heapIdx,
+// so a renewal re-sifts it in place and a removal unlinks it in
+// O(log n) without a search.
+type expiryHeap []*stored
+
+func (h expiryHeap) Len() int           { return len(h) }
+func (h expiryHeap) Less(i, j int) bool { return h[i].expires.Before(h[j].expires) }
+func (h expiryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx = int32(i)
+	h[j].heapIdx = int32(j)
+}
+
+func (h *expiryHeap) Push(x any) {
+	st := x.(*stored)
+	st.heapIdx = int32(len(*h))
+	*h = append(*h, st)
+}
+
+func (h *expiryHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	st := old[n]
+	old[n] = nil
+	*h = old[:n]
+	return st
 }

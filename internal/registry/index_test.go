@@ -64,7 +64,7 @@ func TestIndexedEvaluateMatchesBruteForce(t *testing.T) {
 				continue
 			}
 			for _, st := range ki.all {
-				if !sh.leases.Alive(st.advert.ID, t0) {
+				if st.expires.Before(t0) {
 					continue
 				}
 				if model.Evaluate(q, st.desc).Matched {

@@ -30,6 +30,14 @@ var (
 		"live advertisements across all stores")
 	mAdvertsExpired = obs.NewCounter("registry.adverts.expired", "count",
 		"advertisements purged by lease expiry")
+	// The lease lifecycle of §4.8 made visible: a healthy population
+	// renews, a churning one expires.
+	mLeaseGranted = obs.NewCounter("lease.granted", "count",
+		"leases created or refreshed by publish")
+	mLeaseRenewed = obs.NewCounter("lease.renewed", "count",
+		"leases extended by explicit renewal")
+	mLeaseExpired = obs.NewCounter("lease.expired", "count",
+		"leases that lapsed and were swept")
 	mShardScans = obs.NewCounter("registry.shard.scans", "count",
 		"per-shard candidate scans, aggregated over all shards")
 	mQCacheHits = obs.NewCounter("registry.qcache.hits", "count",
@@ -83,29 +91,3 @@ var (
 	mSnapshotBytes = obs.NewGauge("registry.snapshot.bytes", "bytes",
 		"size of the latest compacted snapshot file")
 )
-
-// ShardStat is one shard's occupancy and scan activity — the per-shard
-// view behind the aggregate registry.shard.scans counter. registryd's
-// /status endpoint exposes it for spotting stripe imbalance.
-type ShardStat struct {
-	Adverts int    `json:"adverts"`
-	Scans   uint64 `json:"scans"`
-	Matched uint64 `json:"matched"`
-}
-
-// ShardStats returns per-shard occupancy and cumulative scan counters
-// in stripe order.
-func (s *Store) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		n := len(sh.adverts)
-		sh.mu.RUnlock()
-		out[i] = ShardStat{
-			Adverts: n,
-			Scans:   sh.scans.Load(),
-			Matched: sh.matched.Load(),
-		}
-	}
-	return out
-}

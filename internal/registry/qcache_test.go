@@ -181,7 +181,7 @@ func TestQueryCacheOptionAliasing(t *testing.T) {
 	if got := evalMust(t, s, q, QueryOptions{}, t0); len(got) != 3 {
 		t.Fatalf("default: got %d", len(got))
 	}
-	if got := evalMust(t, s, q, QueryOptions{MaxResults: s.DefaultMaxResults}, t0); len(got) != 3 {
+	if got := evalMust(t, s, q, QueryOptions{MaxResults: s.EffectiveLimit(QueryOptions{})}, t0); len(got) != 3 {
 		t.Fatalf("explicit default: got %d", len(got))
 	}
 	if got := s.qcache.size(); got != 4 {

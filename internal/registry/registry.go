@@ -15,9 +15,10 @@
 // the read path (Evaluate, MergeRank, Summary, Adverts, Advert, Has)
 // runs in parallel with itself while writes (Publish, Renew, Remove,
 // ExpireThrough) take the write lock only on the shards they touch.
-// Each shard owns the lease sub-table for its adverts, keeping the
-// freshness check (never serve an expired advert) under the same lock
-// as the index lookup. Query decoding is memoized in an LRU plan cache
+// Each advert record carries its own lease deadline, and each shard
+// keeps its records in an expiry min-heap, so the freshness check
+// (never serve an expired advert) reads a field under the same lock as
+// the index lookup. Query decoding is memoized in an LRU plan cache
 // keyed by (kind, payload hash), so a federated query forwarded through
 // several hops — or evaluated and then merge-ranked at the entry
 // registry — decodes its payload once per node, preserving the paper's
@@ -35,6 +36,7 @@ package registry
 import (
 	"bytes"
 	"cmp"
+	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -59,8 +61,8 @@ import (
 type Store struct {
 	models *describe.Registry
 
-	// shards hold the advert arenas, per-kind indexes and lease
-	// sub-tables, striped by advertisement ID; count tracks the live
+	// shards hold the advert arenas, per-kind indexes and expiry
+	// heaps, striped by advertisement ID; count tracks the live
 	// advert total so Len never has to sweep the stripes. toks is the
 	// store-wide summary-token interner shared by every shard and by
 	// the subscription index.
@@ -92,8 +94,8 @@ type Store struct {
 
 	// backend is the durability boundary (store.go): nil is the memory
 	// store, a *WAL makes every acknowledged mutation crash-safe.
-	// leasePolicy mirrors the policy the shard lease tables were built
-	// with; snapshot dumps need it to reconstruct grant instants.
+	// leasePolicy clamps every granted and renewed lease; snapshot dumps
+	// need it to reconstruct grant instants.
 	backend     Backend
 	leasePolicy lease.Policy
 
@@ -115,22 +117,23 @@ type Store struct {
 	subSeq   uint64
 	subidx   *subIndex
 
-	// DefaultMaxResults caps result sets when the query does not; the
+	// defaultMaxResults caps result sets when the query does not; the
 	// response-implosion guard of §3.1.
-	DefaultMaxResults int
+	defaultMaxResults int
 }
 
 // shard is one lock stripe of the store. Each kind's index (kindIndex)
 // holds dense slices of arena records: all adverts of the kind, the
 // per-token and per-output-concept posting lists (postings.go), and the
 // token-less adverts every category scan must consider conservatively.
-// Records carry their positions in these slices, so removal is a
-// swap-remove — no per-advert maps beyond the ID lookup.
+// Records carry their positions in these slices and in the expiry
+// heap, so removal is a swap-remove — no per-advert maps beyond the ID
+// lookup.
 type shard struct {
 	mu      sync.RWMutex
 	adverts map[uuid.UUID]*stored
 	kinds   map[describe.Kind]*kindIndex
-	leases  *lease.Table
+	expiry  expiryHeap
 
 	// Arena state (arena.go): fixed-size slabs of stored records, a
 	// bump pointer and a free list of recycled slots.
@@ -139,18 +142,13 @@ type shard struct {
 	next     int32
 	free     []int32
 
-	// nextDeadline caches leases.NextExpiry so the purge scheduler
-	// (NextExpiry/ExpireThrough across all shards) reads one atomic
-	// pointer per shard instead of taking every shard lock per tick.
-	// nil means the shard holds no leases. Refreshed under the write
-	// lock after every lease mutation. A *time.Time (not UnixNano) so
-	// the simulator's zero-epoch virtual clocks round-trip exactly.
+	// nextDeadline caches the expiry heap's root deadline so the purge
+	// scheduler (NextExpiry/ExpireThrough across all shards) reads one
+	// atomic pointer per shard instead of taking every shard lock per
+	// tick. nil means the shard holds no adverts. Refreshed under the
+	// write lock after every lease mutation. A *time.Time (not UnixNano)
+	// so the simulator's zero-epoch virtual clocks round-trip exactly.
 	nextDeadline atomic.Pointer[time.Time]
-
-	// scans and matched accumulate this shard's candidate-scan activity
-	// (see ShardStats); updated with one atomic add per collect pass.
-	scans   atomic.Uint64
-	matched atomic.Uint64
 }
 
 // kindIndex is one kind's dense advert indexes inside a shard.
@@ -164,37 +162,39 @@ type kindIndex struct {
 }
 
 // refreshDeadlineLocked re-derives the cached next lease deadline; the
-// caller holds the shard write lock and has just mutated the lease
-// table.
+// caller holds the shard write lock and has just mutated the expiry
+// heap.
 func (sh *shard) refreshDeadlineLocked() {
-	if t, ok := sh.leases.NextExpiry(); ok {
-		sh.nextDeadline.Store(&t)
-	} else {
+	if len(sh.expiry) == 0 {
 		sh.nextDeadline.Store(nil)
+		return
 	}
+	t := sh.expiry[0].expires
+	sh.nextDeadline.Store(&t)
 }
 
-// stored is one arena-resident advert record. It is immutable while
-// linked into the shard indexes — updates unlink, release and relink —
-// but its slot is recycled after release, so nothing derived from a
-// *stored may be used once the shard lock is dropped; escaping data is
-// snapshotted by value (hit, removedAdvert) under the lock. svcSeq
-// records which byService write this advert made; it is written inside
-// Publish's shard critical section and read by removeLocked, also under
-// the lock. lease is the shard lease table's own record of the advert's
-// deadline, so reading it costs no table lookup and nothing keeps a copy.
+// stored is one arena-resident advert record. Apart from its lease
+// deadline and heap position, which a renewal moves in place, it is
+// immutable while linked into the shard indexes — updates unlink,
+// release and relink — but its slot is recycled after release, so
+// nothing derived from a *stored may be used once the shard lock is
+// dropped; escaping data is snapshotted by value (hit, removedAdvert)
+// under the lock. expires is the advert's lease deadline, the only copy
+// there is. svcSeq records which byService write this advert made; like
+// every other field it is read and written only under the shard lock.
 type stored struct {
 	advert  wire.Advertisement
 	desc    describe.Description
-	lease   *lease.Lease
+	expires time.Time
 	toks    []tok   // interned, deduplicated summary tokens
 	outs    []int32 // declared output concept IDs, distinct and ascending
 	pos     []int32 // position in each token's, then each output's, posting list
 	cat     int32   // declared category concept ID, -1 when none
 	kindPos int32   // position in kindIndex.all
 	ntPos   int32   // position in kindIndex.noTok, -1 when tokenized
+	heapIdx int32   // position in shard.expiry
 	slot    int32   // arena slot, for release
-	svcSeq  atomic.Uint64
+	svcSeq  uint64
 }
 
 // svcEntry is one byService mapping: the advert currently describing a
@@ -295,7 +295,6 @@ func New(opts Options) *Store {
 		shards[i] = &shard{
 			adverts:  make(map[uuid.UUID]*stored),
 			kinds:    make(map[describe.Kind]*kindIndex),
-			leases:   lease.NewTable(opts.Leases),
 			slabSize: opts.ArenaSlab,
 		}
 	}
@@ -327,7 +326,7 @@ func New(opts Options) *Store {
 		leasePolicy:       opts.Leases,
 		artifacts:         make(map[string][]byte),
 		subs:              make(map[uuid.UUID]*subscription),
-		DefaultMaxResults: opts.DefaultMaxResults,
+		defaultMaxResults: opts.DefaultMaxResults,
 	}
 	if !opts.DisableSubIndex {
 		s.subidx = newSubIndex()
@@ -450,16 +449,17 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 		s.bumpRemoved(snap)
 		s.countAdd(-1)
 	}
+	granted := s.leasePolicy.Clamp(time.Duration(adv.LeaseMillis) * time.Millisecond)
+	mLeaseGranted.Inc()
 	st := sh.alloc()
 	st.advert = adv
 	st.desc = desc
+	st.expires = now.Add(granted)
 	st.toks = s.toks.internAll(tokens)
 	st.outs = outs
 	st.cat = cat
 	toks := st.toks // slice header survives a concurrent release after unlock
 	sh.insertLocked(st)
-	var granted time.Duration
-	st.lease, granted = sh.leases.Grant(adv.ID, time.Duration(adv.LeaseMillis)*time.Millisecond, now)
 	s.gens.bump(tokens)
 	sh.refreshDeadlineLocked()
 	// The byService mapping (and st.svcSeq) is written while the shard
@@ -473,7 +473,7 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 		oldSvc, hadSvc = s.byService[svcKey]
 		s.svcSeq++
 		s.byService[svcKey] = svcEntry{id: adv.ID, seq: s.svcSeq}
-		st.svcSeq.Store(s.svcSeq)
+		st.svcSeq = s.svcSeq
 		s.svcMu.Unlock()
 	}
 	// The log record is appended while the shard lock still orders this
@@ -494,7 +494,6 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 		osh.mu.Lock()
 		if prev, ok := osh.adverts[oldSvc.id]; ok && adv.Version >= prev.advert.Version {
 			snap, _ := osh.removeLocked(oldSvc.id)
-			osh.leases.Remove(oldSvc.id)
 			s.bumpRemoved(snap)
 			osh.refreshDeadlineLocked()
 			s.countAdd(-1)
@@ -532,11 +531,13 @@ func (s *Store) holdsServiceKey(key string, id uuid.UUID) bool {
 	return s.byService[key].id == id
 }
 
-// insertLocked links st into the shard's kind index; the caller holds
-// the shard write lock and has fully initialized the record.
+// insertLocked links st into the shard's kind index and expiry heap;
+// the caller holds the shard write lock and has fully initialized the
+// record, its lease deadline included.
 func (sh *shard) insertLocked(st *stored) {
 	kind := st.advert.Kind
 	sh.adverts[st.advert.ID] = st
+	heap.Push(&sh.expiry, st)
 	ki := sh.kinds[kind]
 	if ki == nil {
 		ki = &kindIndex{}
@@ -583,8 +584,8 @@ type removedAdvert struct {
 	svcSeq uint64
 }
 
-// removeLocked unlinks id from the shard indexes (not the lease table
-// and not the service-key map), releases its arena slot, and returns a
+// removeLocked unlinks id from the shard indexes and expiry heap (not
+// from the service-key map), releases its arena slot, and returns a
 // snapshot of the removed entry; the caller holds the shard write lock.
 func (sh *shard) removeLocked(id uuid.UUID) (removedAdvert, bool) {
 	st, ok := sh.adverts[id]
@@ -592,6 +593,7 @@ func (sh *shard) removeLocked(id uuid.UUID) (removedAdvert, bool) {
 		return removedAdvert{}, false
 	}
 	delete(sh.adverts, id)
+	heap.Remove(&sh.expiry, int(st.heapIdx))
 	ki := sh.kinds[st.advert.Kind]
 	// Swap-remove from the all-of-kind slice.
 	last := len(ki.all) - 1
@@ -628,7 +630,7 @@ func (sh *shard) removeLocked(id uuid.UUID) (removedAdvert, bool) {
 		}
 		ki.byOut[o] = b
 	}
-	snap := removedAdvert{advert: st.advert, desc: st.desc, svcKey: st.desc.ServiceKey(), svcSeq: st.svcSeq.Load()}
+	snap := removedAdvert{advert: st.advert, desc: st.desc, svcKey: st.desc.ServiceKey(), svcSeq: st.svcSeq}
 	sh.release(st)
 	return snap, true
 }
@@ -701,11 +703,13 @@ func (s *Store) RenewAsync(id uuid.UUID, now time.Time) (time.Duration, bool, ui
 // clock can pull a deadline in, which would outlive a cached entry's
 // expiry stamp, so that case invalidates too.
 func (s *Store) renewLocked(sh *shard, st *stored, now time.Time) (granted time.Duration, wasAlive bool, lsn uint64) {
-	oldExp, wasAlive := st.lease.AliveUntil(now)
-	// The lease table holds an entry for every resident advert: both
-	// are dropped together under this lock.
-	granted, _ = sh.leases.Renew(st.advert.ID, time.Duration(st.advert.LeaseMillis)*time.Millisecond, now)
-	if !wasAlive || now.Add(granted).Before(oldExp) {
+	oldExp := st.expires
+	wasAlive = !oldExp.Before(now)
+	granted = s.leasePolicy.Clamp(time.Duration(st.advert.LeaseMillis) * time.Millisecond)
+	mLeaseRenewed.Inc()
+	st.expires = now.Add(granted)
+	heap.Fix(&sh.expiry, int(st.heapIdx))
+	if !wasAlive || st.expires.Before(oldExp) {
 		s.gens.bump(s.summaryTokens(st.advert.Kind, st.desc))
 	}
 	sh.refreshDeadlineLocked()
@@ -734,7 +738,6 @@ func (s *Store) RemoveAsync(id uuid.UUID) (bool, uint64) {
 	snap, ok := sh.removeLocked(id)
 	var lsn uint64
 	if ok {
-		sh.leases.Remove(id)
 		s.bumpRemoved(snap)
 		sh.refreshDeadlineLocked()
 		if s.backend != nil {
@@ -768,21 +771,20 @@ func (s *Store) ExpireThrough(now time.Time) []wire.Advertisement {
 			continue
 		}
 		sh.mu.Lock()
-		expired := sh.leases.ExpireThrough(now)
-		for _, id := range expired {
-			if snap, ok := sh.removeLocked(id); ok {
-				s.bumpRemoved(snap)
-				out = append(out, snap.advert)
-				dropped = append(dropped, snap)
-				s.countAdd(-1)
-			}
+		start := len(out)
+		for len(sh.expiry) > 0 && !sh.expiry[0].expires.After(now) {
+			snap, _ := sh.removeLocked(sh.expiry[0].advert.ID)
+			s.bumpRemoved(snap)
+			out = append(out, snap.advert)
+			dropped = append(dropped, snap)
+			s.countAdd(-1)
 		}
 		// The sweep is logged per purged shard, under the shard lock:
 		// purge timing decides whether a later publish of the same ID
 		// replays as a fresh insert or a stale-version reject, so a
 		// record appended after the lock dropped could be misordered
 		// against a racing publish.
-		if len(expired) > 0 && s.backend != nil {
+		if len(out) > start && s.backend != nil {
 			s.backend.AppendExpire(now)
 		}
 		sh.refreshDeadlineLocked()
@@ -791,6 +793,7 @@ func (s *Store) ExpireThrough(now time.Time) []wire.Advertisement {
 	for _, snap := range dropped {
 		s.dropServiceKey(snap)
 	}
+	mLeaseExpired.Add(uint64(len(out)))
 	mAdvertsExpired.Add(uint64(len(out)))
 	return out
 }
@@ -825,7 +828,7 @@ type QueryOptions struct {
 func (s *Store) EffectiveLimit(opts QueryOptions) int {
 	limit := opts.MaxResults
 	if limit <= 0 {
-		limit = s.DefaultMaxResults
+		limit = s.defaultMaxResults
 	}
 	if opts.BestOnly {
 		limit = 1
@@ -939,15 +942,13 @@ func (s *Store) evaluateLive(kind describe.Kind, plan *queryPlan, limit int, now
 }
 
 // collect evaluates the shard's candidates for the plan into top.
-// Scan activity accumulates in local counters and lands in the shard
-// (and aggregate) obs counters with one atomic add per pass, keeping
-// the per-candidate loop free of shared-cacheline traffic.
+// Scan activity accumulates in a local counter and lands in the
+// aggregate obs counter with one atomic add per pass, keeping the
+// per-candidate loop free of shared-cacheline traffic.
 func (sh *shard) collect(kind describe.Kind, plan *queryPlan, qtoks []tok, now time.Time, top *topK) {
-	var scanned, matched uint64
+	var scanned uint64
 	defer func() {
 		if scanned > 0 {
-			sh.scans.Add(scanned)
-			sh.matched.Add(matched)
 			mShardScans.Add(scanned)
 		}
 	}()
@@ -959,15 +960,13 @@ func (sh *shard) collect(kind describe.Kind, plan *queryPlan, qtoks []tok, now t
 	}
 	consider := func(st *stored) {
 		scanned++
-		expires, alive := st.lease.AliveUntil(now)
-		if !alive {
+		if st.expires.Before(now) {
 			return // expired but not yet purged: never serve stale data
 		}
 		if ev := plan.model.Evaluate(plan.query, st.desc); ev.Matched {
-			matched++
 			// The hit snapshots the advert by value: the record's arena
 			// slot may be recycled the moment the read lock drops.
-			top.push(hit{adv: st.advert, key: st.desc.ServiceKey(), ev: ev, expires: expires})
+			top.push(hit{adv: st.advert, key: st.desc.ServiceKey(), ev: ev, expires: st.expires})
 		}
 	}
 	if g := ki.smallestGroup(plan, qtoks); g >= 0 {
@@ -1253,7 +1252,7 @@ func (s *Store) LeaseDeadline(id uuid.UUID) (time.Time, bool) {
 	if !ok {
 		return time.Time{}, false
 	}
-	return st.lease.Expires(), true
+	return st.expires, true
 }
 
 // Has reports whether the advertisement is stored (and not yet purged).

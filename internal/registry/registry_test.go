@@ -37,10 +37,15 @@ func testOntology(t testing.TB) *ontology.Ontology {
 	return o
 }
 
-func newStore(t testing.TB) *Store {
+func newStore(t testing.TB) *Store { return newStoreWith(t, Options{}) }
+
+// newStoreWith is newStore with further options; it fills in the test
+// models and lease policy.
+func newStoreWith(t testing.TB, opts Options) *Store {
 	t.Helper()
-	models := describe.NewRegistry(describe.URIModel{}, describe.KVModel{}, describe.NewSemanticModel(testOntology(t)))
-	return New(Options{Models: models, Leases: lease.Policy{Min: time.Second, Max: time.Hour, Default: 30 * time.Second}})
+	opts.Models = describe.NewRegistry(describe.URIModel{}, describe.KVModel{}, describe.NewSemanticModel(testOntology(t)))
+	opts.Leases = lease.Policy{Min: time.Second, Max: time.Hour, Default: 30 * time.Second}
+	return New(opts)
 }
 
 func semAdvert(serviceIRI, category string, lease time.Duration) wire.Advertisement {
@@ -217,7 +222,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestResponseControl(t *testing.T) {
-	s := newStore(t)
+	s := newStoreWith(t, Options{DefaultMaxResults: 5})
 	for i := 0; i < 10; i++ {
 		adv := semAdvert("urn:svc:"+string(rune('a'+i)), "Radar", time.Minute)
 		if _, _, err := s.Publish(adv, t0); err != nil {
@@ -232,7 +237,6 @@ func TestResponseControl(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("BestOnly returned %d", len(res))
 	}
-	s.DefaultMaxResults = 5
 	res, _ = s.Evaluate(describe.KindSemantic, semQuery("Sensor"), QueryOptions{}, t0)
 	if len(res) != 5 {
 		t.Fatalf("default cap returned %d", len(res))

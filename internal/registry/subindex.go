@@ -30,11 +30,12 @@ import (
 // Options.DisableSubIndex — the property-tested baseline) fall back to
 // the linear scan, counted by registry.subindex.fallback.scans.
 //
-// The two posting domains never need cross-probing: a category declared
-// in the ontology can never equal an undeclared category string, so a
-// concept-posted subscription and a token-posted advert (or vice versa)
-// cannot match — still, the concept path probes the token buckets too,
-// so correctness never rests on that disjointness argument alone.
+// An advert with a concept ID probes the token buckets as well, and
+// that probe is load-bearing. A subscription on an undeclared category
+// X is token-posted under [X, owl:Thing], and an owl:Thing advert,
+// which carries a concept ID, matches it: Thing subsumes every
+// category, declared or not. TestSubIndexMatchesLinearScan publishes
+// Thing adverts to pin this.
 //
 // Removal is lazy: Unsubscribe tombstones the record (sub.removed) and
 // probes skip it; once tombstones outnumber live entries the posting

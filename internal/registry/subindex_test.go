@@ -8,6 +8,7 @@ import (
 
 	"semdisco/internal/describe"
 	"semdisco/internal/lease"
+	"semdisco/internal/ontology"
 	"semdisco/internal/profile"
 	"semdisco/internal/uuid"
 	"semdisco/internal/wire"
@@ -75,11 +76,15 @@ func TestSubIndexMatchesLinearScan(t *testing.T) {
 				leaseDur := time.Duration(1+rng.Intn(90)) * time.Second
 				switch rng.Intn(6) {
 				case 0, 1, 2:
-					cat := cats[rng.Intn(len(cats))]
+					cat := c(cats[rng.Intn(len(cats))])
 					if rng.Intn(5) == 0 {
-						cat = undeclared[rng.Intn(len(undeclared))]
+						cat = c(undeclared[rng.Intn(len(undeclared))])
+					} else if rng.Intn(6) == 0 {
+						// A Thing advert carries a concept ID and still
+						// matches subscriptions on undeclared categories.
+						cat = ontology.Thing
 					}
-					p := &profile.Profile{ServiceIRI: fmt.Sprintf("urn:svc:s%d", i), Category: c(cat), Grounding: "urn:g"}
+					p := &profile.Profile{ServiceIRI: fmt.Sprintf("urn:svc:s%d", i), Category: cat, Grounding: "urn:g"}
 					return wire.Advertisement{ID: idgen.New(), Provider: idgen.New(), ProviderAddr: "a",
 						Kind: describe.KindSemantic, Payload: p.Encode(),
 						LeaseMillis: uint64(leaseDur / time.Millisecond), Version: 1}

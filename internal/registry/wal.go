@@ -1243,7 +1243,7 @@ func (s *Store) durableAdverts() []snapAdvert {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, st := range sh.adverts {
-			out = append(out, snapAdvert{adv: st.advert, expires: st.lease.Expires()})
+			out = append(out, snapAdvert{adv: st.advert, expires: st.expires})
 		}
 		sh.mu.RUnlock()
 	}
