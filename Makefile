@@ -3,7 +3,7 @@ GO ?= go
 # local runs use whatever `staticcheck` is on PATH (skipped if absent).
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test race vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos fuzz docs-check loc
+.PHONY: build test race durable vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos fuzz docs-check loc
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/obs/... ./internal/registry/... ./internal/federation/... ./internal/runtime/... ./internal/ontology/... ./internal/match/... ./internal/describe/... ./internal/profile/... ./internal/workload/... ./internal/wire/... ./internal/transport/... ./internal/sim/... ./internal/node/... ./internal/discovery/... ./internal/integration/...
+
+# The acked-renewal ordering tests, 20 times each under the race
+# detector: a renewal acked before its barrier must still be safe, so
+# an ordering bug in that path should fail here, not in the field.
+durable:
+	$(GO) test -race -count=20 -run 'TestAckedImpliesDurable|TestRenewAck' ./internal/federation/... ./internal/registry/...
 
 vet:
 	$(GO) vet ./...

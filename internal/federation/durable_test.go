@@ -266,12 +266,14 @@ func (r *durableRig) query() int {
 	return n
 }
 
-// TestAckedImpliesDurable: a durable registry acknowledges a publish,
-// renewal or subscription only after the barrier covering its log
-// record completed — and handles other traffic meanwhile, because the
-// barrier no longer runs on the node goroutine. A failed barrier is a
-// failed operation, and a stopped registry sends nothing when a barrier
-// it was waiting on completes late.
+// TestAckedImpliesDurable: a durable registry acknowledges a publish or
+// subscription only after the barrier covering its log record
+// completed — and handles other traffic meanwhile, because the barrier
+// no longer runs on the node goroutine. A renewal of a live advert
+// whose publish is durable is acked at once, while its own barrier is
+// still queued. A failed barrier is a failed operation (renewals after
+// it included), and a stopped registry sends nothing when a barrier it
+// was waiting on completes late.
 func TestAckedImpliesDurable(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	r := newDurableRig(t)
@@ -279,11 +281,10 @@ func TestAckedImpliesDurable(t *testing.T) {
 	if _, _, err := r.store.Publish(resident, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	r.gb.mu.Lock()
-	r.gb.hold = true
-	r.gb.mu.Unlock()
+	r.holdBarriers()
 
-	// Held barriers: nothing is acknowledged.
+	// Held barriers: nothing is acknowledged but the renewal of the
+	// already-durable resident, whose own barrier is parked all the same.
 	fresh := r.advert("urn:svc:fresh")
 	subID := r.gen.New()
 	p := r.provider
@@ -297,15 +298,20 @@ func TestAckedImpliesDurable(t *testing.T) {
 	if n := r.gb.parkedCount(); n != 3 {
 		t.Fatalf("%d barriers parked, want 3 (publish, renew, subscribe)", n)
 	}
-	if pubs, renews, subs := p.acks(); pubs+renews+subs != 0 {
-		t.Fatalf("acked before the barrier completed: %d publish, %d renew, %d subscribe acks", pubs, renews, subs)
+	if pubs, renews, subs := p.acks(); pubs+subs != 0 || renews != 1 {
+		t.Fatalf("while barriers are held: %d publish, %d renew, %d subscribe acks, want 0, 1, 0", pubs, renews, subs)
 	}
+	p.mu.Lock()
+	if !p.renews[0].OK || p.renews[0].AdvertID != resident.ID {
+		t.Fatalf("early renew ack: %+v, want OK for %v", p.renews[0], resident.ID)
+	}
+	p.mu.Unlock()
 	// Meanwhile another client is served, and already sees the applied
 	// publish: visibility does not wait for durability.
 	if n := r.query(); n != 2 {
 		t.Fatalf("query while barriers are held returned %d adverts, want 2", n)
 	}
-	if pubs, renews, subs := p.acks(); pubs+renews+subs != 0 {
+	if pubs, _, subs := p.acks(); pubs+subs != 0 {
 		t.Fatal("acked before the barrier completed")
 	}
 
@@ -364,4 +370,68 @@ func TestAckedImpliesDurable(t *testing.T) {
 	}
 	r.close()
 	r.await("the rig's goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+}
+
+// holdBarriers parks every barrier from now on until settle.
+func (r *durableRig) holdBarriers() {
+	r.gb.mu.Lock()
+	r.gb.hold = true
+	r.gb.mu.Unlock()
+}
+
+// awaitRenewAfterRelease checks that the renewal p sent last has not
+// been acked while its barrier (and want-1 others) are parked, then
+// releases them and waits for its OK ack.
+func (r *durableRig) awaitRenewAfterRelease(id uuid.UUID, want int) {
+	r.t.Helper()
+	p := r.provider
+	r.sync(p)
+	if n := r.gb.parkedCount(); n != want {
+		r.t.Fatalf("%d barriers parked, want %d", n, want)
+	}
+	if _, renews, _ := p.acks(); renews != 0 {
+		r.t.Fatal("renewal acked before its barrier completed")
+	}
+	r.gb.settle(nil)
+	r.await("the renew ack", func() bool {
+		_, renews, _ := p.acks()
+		return renews == 1
+	})
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ack := p.renews[0]; !ack.OK || ack.AdvertID != id {
+		r.t.Fatalf("renew ack after release: %+v, want OK for %v", ack, id)
+	}
+}
+
+// TestRenewAckWaitsForPublishBarrier: a renewal of an advert whose own
+// publish is not durable yet is acked only after the barrier covering
+// its record completes — an early ack could outlive the advert itself.
+func TestRenewAckWaitsForPublishBarrier(t *testing.T) {
+	r := newDurableRig(t)
+	defer r.close()
+	r.holdBarriers()
+	fresh := r.advert("urn:svc:fresh")
+	r.provider.env.Send(r.reg.Addr(), wire.Publish{Advert: fresh})
+	r.provider.env.Send(r.reg.Addr(), wire.Renew{AdvertID: fresh.ID})
+	r.awaitRenewAfterRelease(fresh.ID, 2)
+	if pubs, _, _ := r.provider.acks(); pubs != 1 {
+		t.Fatalf("%d publish acks after release, want 1", pubs)
+	}
+}
+
+// TestRenewAckWaitsOnLapsedLease: a renewal that lands after the lease
+// lapsed but before the purge sweep brings the advert back, so it waits
+// for its barrier even though the advert's publish is durable.
+func TestRenewAckWaitsOnLapsedLease(t *testing.T) {
+	r := newDurableRig(t)
+	defer r.close()
+	lapsed := r.advert("urn:svc:lapsed")
+	lapsed.LeaseMillis = 1000
+	if _, _, err := r.store.Publish(lapsed, time.Now().Add(-2*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	r.holdBarriers()
+	r.provider.env.Send(r.reg.Addr(), wire.Renew{AdvertID: lapsed.ID})
+	r.awaitRenewAfterRelease(lapsed.ID, 1)
 }

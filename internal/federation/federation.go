@@ -558,10 +558,10 @@ func (r *Registry) handleSubscribe(from transport.Addr, b *wire.Subscribe) {
 // off the node goroutine and its completion re-enters through the
 // timer queue, exactly like a read-pool result (query.go), so the
 // acknowledgement — and anything else that must not leave before the
-// state is durable — is sent from fn. LSN 0 (memory store) is durable
-// already: fn runs inline, with no re-entry, so a memnet trace is the
-// same as when every mutation was synchronous. A stopped registry runs
-// no completion.
+// state is durable — is sent from fn. LSN 0 (memory store, or a renewal
+// the store lets ack early) needs no wait: fn runs inline, with no
+// re-entry, so a memnet trace is the same as when every mutation was
+// synchronous. A stopped registry runs no completion.
 func (r *Registry) whenDurable(lsn uint64, fn func(derr error)) {
 	if lsn == 0 {
 		fn(nil)
@@ -720,6 +720,10 @@ func (r *Registry) handlePublish(env *wire.Envelope, from transport.Addr, b *wir
 
 func (r *Registry) handleRenew(env *wire.Envelope, from transport.Addr, b *wire.Renew) {
 	id, origin := b.AdvertID, env.From
+	// A renewal of a live advert whose publish is durable comes back
+	// with LSN 0 and is acked inline: its record is already on its way
+	// into the next commit round, and a crash inside that round costs
+	// the lease extension, never the advert (registry.RenewAsync).
 	granted, ok, lsn := r.store.RenewAsync(id, r.now())
 	r.whenDurable(lsn, func(derr error) {
 		ok = ok && derr == nil

@@ -98,6 +98,12 @@ type Store struct {
 	// need it to reconstruct grant instants.
 	backend     Backend
 	leasePolicy lease.Policy
+	// durableLSN is the highest LSN a completed barrier reported
+	// durable, and barrierFailed is set by the first barrier that
+	// failed. RenewAsync reads both to decide whether a renewal's ack
+	// may leave before its own barrier (store.go, observe).
+	durableLSN    atomic.Uint64
+	barrierFailed atomic.Bool
 
 	artMu     sync.RWMutex
 	artifacts map[string][]byte
@@ -180,8 +186,11 @@ func (sh *shard) refreshDeadlineLocked() {
 // nothing derived from a *stored may be used once the shard lock is
 // dropped; escaping data is snapshotted by value (hit, removedAdvert)
 // under the lock. expires is the advert's lease deadline, the only copy
-// there is. svcSeq records which byService write this advert made; like
-// every other field it is read and written only under the shard lock.
+// there is. svcSeq records which byService write this advert made. lsn
+// is the log record the advert's residency rests on: its publish, or
+// the last renewal whose ack waited for its barrier; a renewal acks
+// early only once that record is durable. Like every other field they
+// are read and written only under the shard lock.
 type stored struct {
 	advert  wire.Advertisement
 	desc    describe.Description
@@ -195,6 +204,7 @@ type stored struct {
 	heapIdx int32   // position in shard.expiry
 	slot    int32   // arena slot, for release
 	svcSeq  uint64
+	lsn     uint64
 }
 
 // svcEntry is one byService mapping: the advert currently describing a
@@ -434,6 +444,7 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 		}
 		if sameAdvert(old.advert, adv) && s.holdsServiceKey(svcKey, adv.ID) {
 			granted, wasAlive, lsn := s.renewLocked(sh, old, now)
+			old.lsn = lsn // the publish's ack waits for this record
 			toks, cat := old.toks, old.cat
 			sh.mu.Unlock()
 			mPublish.Inc()
@@ -482,6 +493,7 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 	var lsn uint64
 	if s.backend != nil {
 		lsn = s.backend.AppendPublish(adv, granted, now)
+		st.lsn = lsn
 	}
 	sh.mu.Unlock()
 	s.countAdd(1)
@@ -669,27 +681,59 @@ func (s *Store) dropServiceKey(r removedAdvert) {
 // Renew refreshes an advertisement lease; ok=false means the registry
 // no longer holds the advertisement (or can no longer record the
 // renewal durably) and the provider must republish. It returns once
-// the renewal is durable: RenewAsync plus the wait for its barrier.
+// the renewal is durable — always, even where RenewAsync would let the
+// ack leave early — so replay and the direct-store callers keep the
+// plain acked ⇒ durable contract.
 func (s *Store) Renew(id uuid.UUID, now time.Time) (time.Duration, bool) {
-	granted, ok, lsn := s.RenewAsync(id, now)
+	granted, ok, lsn, _ := s.renew(id, now)
 	if ok && s.sync(lsn) != nil {
 		return 0, false
 	}
 	return granted, ok
 }
 
-// RenewAsync is Renew without the durability wait; a successful renewal
-// may be acknowledged once WhenDurable settles the returned LSN.
+// RenewAsync is Renew without the durability wait. A non-zero LSN is
+// what WhenDurable must settle before the renewal may be acknowledged.
+// LSN 0 means the ack may leave now: either nothing was logged (the
+// memory store), or the advert was alive, the record its residency
+// rests on is durable, and no barrier has failed — and then the renew
+// record's barrier has already been handed to the group commit, with
+// no ack waiting on it. Such an acked renewal survives a crash with its
+// renewed deadline or, if the crash lands inside that commit round,
+// with its previous durable one; never with a later deadline, and the
+// advert itself is never lost. A renewal that resurrects a lapsed
+// lease, or whose advert's publish is not yet durable, or that follows
+// a failed barrier still returns its LSN.
 func (s *Store) RenewAsync(id uuid.UUID, now time.Time) (time.Duration, bool, uint64) {
+	granted, ok, lsn, early := s.renew(id, now)
+	if !early {
+		return granted, ok, lsn
+	}
+	s.backend.Barrier(lsn, func(err error) { s.observe(lsn, err) })
+	return granted, true, 0
+}
+
+// renew applies a renewal and logs it under id's shard lock. early
+// reports that the renewal's ack need not wait for its record (see
+// RenewAsync); a renewal that must wait becomes the record the
+// advert's residency rests on.
+func (s *Store) renew(id uuid.UUID, now time.Time) (granted time.Duration, ok bool, lsn uint64, early bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st, ok := sh.adverts[id]
 	if !ok {
-		return 0, false, 0
+		return 0, false, 0, false
 	}
-	granted, _, lsn := s.renewLocked(sh, st, now)
-	return granted, true, lsn
+	granted, wasAlive, lsn := s.renewLocked(sh, st, now)
+	if lsn == 0 {
+		return granted, true, 0, false
+	}
+	early = wasAlive && st.lsn <= s.durableLSN.Load() && !s.barrierFailed.Load()
+	if !early {
+		st.lsn = lsn
+	}
+	return granted, true, lsn, early
 }
 
 // renewLocked re-grants st's lease at now and logs the renewal; the

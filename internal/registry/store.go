@@ -54,10 +54,16 @@ var ErrDurability = errors.New("registry: durable backend failed")
 //     the blocking Publish/Renew/Remove/Subscribe Sync before
 //     returning, so a successful one is a durable one, while the *Async
 //     forms hand the LSN to the caller, which registers a completion
-//     (the federation acks from it). Completions and syncs sharing one
-//     flush are group commit. A barrier error means durability is
-//     gone, not that the in-memory apply was undone; callers must
-//     surface it as a failed operation.
+//     (the federation acks from it). The one exception is RenewAsync
+//     of a live advert whose own publish is already durable: it
+//     registers the renew record's barrier itself, with nothing
+//     waiting on it, and hands the caller LSN 0, so the renewal is
+//     acked at once and its record still joins the next commit round.
+//     Completions and syncs sharing one flush are group commit; the
+//     store watches their outcomes to know how far the log is durable
+//     and whether a barrier ever failed. A barrier error means
+//     durability is gone, not that the in-memory apply was undone;
+//     callers must surface it as a failed operation.
 //
 // Lease expiry sweeps and subscription pruning are logged too
 // (AppendExpire, AppendPruneSubs): purge timing decides whether a
@@ -101,16 +107,17 @@ type Backend interface {
 
 // WhenDurable runs done once the mutation that returned lsn from one of
 // the *Async mutators is durable — or with an ErrDurability-wrapped
-// error once it can no longer be. LSN 0 (the memory store, or a
-// mutation that logged nothing) is durable already, and done runs
-// inline. Otherwise done may run on any goroutine: a caller that needs
-// it on its own re-enters from there.
+// error once it can no longer be. LSN 0 (the memory store, a mutation
+// that logged nothing, or a renewal RenewAsync lets ack early) needs
+// no wait, and done runs inline. Otherwise done may run on any
+// goroutine: a caller that needs it on its own re-enters from there.
 func (s *Store) WhenDurable(lsn uint64, done func(error)) {
 	if s.backend == nil || lsn == 0 {
 		done(nil)
 		return
 	}
 	s.backend.Barrier(lsn, func(err error) {
+		s.observe(lsn, err)
 		if err != nil {
 			err = fmt.Errorf("%w: %v", ErrDurability, err)
 		}
@@ -123,8 +130,24 @@ func (s *Store) sync(lsn uint64) error {
 	if s.backend == nil || lsn == 0 {
 		return nil
 	}
-	if err := s.backend.Sync(lsn); err != nil {
+	err := s.backend.Sync(lsn)
+	s.observe(lsn, err)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrDurability, err)
 	}
 	return nil
+}
+
+// observe records a completed barrier's outcome for RenewAsync: the
+// durable watermark it reached, or the first failure, which stays.
+func (s *Store) observe(lsn uint64, err error) {
+	if err != nil {
+		s.barrierFailed.Store(true)
+		return
+	}
+	for cur := s.durableLSN.Load(); cur < lsn; cur = s.durableLSN.Load() {
+		if s.durableLSN.CompareAndSwap(cur, lsn) {
+			return
+		}
+	}
 }

@@ -339,11 +339,16 @@ func snapName(upTo uint64) string    { return fmt.Sprintf("%s%016x%s", snapPrefi
 // openSegmentLocked starts a fresh segment whose first record will be
 // firstLSN. O_TRUNC handles the one legal collision: a segment created
 // by a previous run that crashed before writing any complete frame.
+// The directory is synced once the file exists: POSIX does not promise
+// that fsyncing a file persists its directory entry, so without it the
+// acked records of a fresh segment could vanish with the segment's
+// name after a power loss.
 func (w *WAL) openSegmentLocked(firstLSN uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(firstLSN)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("registry: wal segment: %w", err)
 	}
+	syncDir(w.dir)
 	w.f = f
 	w.bw = bufio.NewWriterSize(f, 1<<16)
 	w.segStart = firstLSN
@@ -1206,17 +1211,22 @@ func writeSnapshot(dir string, st *Store, upTo uint64) (path string, size int64,
 	if err = os.Rename(tmp, path); err != nil {
 		return "", 0, 0, err
 	}
-	// Make the rename itself durable; best effort where the platform
-	// refuses directory fsync.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
+	syncDir(dir) // make the rename itself durable
 	info, err := os.Stat(path)
 	if err != nil {
 		return "", 0, 0, err
 	}
 	return path, info.Size(), len(advs), nil
+}
+
+// syncDir fsyncs a directory so the entries just created or renamed in
+// it survive a power loss; best effort where the platform refuses
+// directory fsync.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }
 
 // snapAdvert is one advert entry of a snapshot dump: the advertisement

@@ -875,3 +875,78 @@ func TestWALSyncAndBarrierMixed(t *testing.T) {
 		t.Fatalf("store holds %d adverts, want %d", n, writers*each)
 	}
 }
+
+// TestRenewAckEarlySurvivesCrash: a renewal acked early survives a
+// crash after its commit round with exactly its renewed deadline, and a
+// crash before that round with its renewed or its previous durable
+// deadline — never a later one, and the advert itself is never lost.
+func TestRenewAckEarlySurvivesCrash(t *testing.T) {
+	for _, afterRound := range []bool{false, true} {
+		name := "before-round"
+		if afterRound {
+			name = "after-round"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			mk := walFactory(t)
+			clock := func() time.Time { return t0 }
+			st, w, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: -1, NewStore: mk, Now: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			adv := walAdvert(walGen.New(), "urn:svc:renewed", "Radar", 1, time.Minute)
+			granted, _, err := st.Publish(adv, t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := t0.Add(granted)
+			at := t0.Add(10 * time.Second)
+			granted, ok, lsn := st.RenewAsync(adv.ID, at)
+			if !ok || lsn != 0 {
+				t.Fatalf("renewal of a durable live advert: ok=%v lsn=%d, want an early ack", ok, lsn)
+			}
+			renewed := at.Add(granted)
+			if afterRound {
+				awaitAllDurable(t, w)
+			}
+			w.crash()
+
+			rec, w2, _, err := Recover(WALConfig{Dir: dir, SnapshotEvery: -1, NewStore: mk, Now: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			got, has := rec.LeaseDeadline(adv.ID)
+			switch {
+			case !has:
+				t.Fatal("the renewed advert was lost in the crash")
+			case got.Equal(renewed):
+			case got.Equal(prev) && !afterRound:
+				t.Log("the crash beat the commit round: previous deadline recovered")
+			default:
+				t.Fatalf("recovered deadline %v, want %v (renewed) or %v (previous, only before the round)", got, renewed, prev)
+			}
+		})
+	}
+}
+
+// awaitAllDurable waits until every record appended to w is durable —
+// without registering a barrier of its own, so only barriers someone
+// else handed to the group commit can get it there.
+func awaitAllDurable(t *testing.T, w *WAL) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		last := w.lsn
+		w.mu.Unlock()
+		w.cmu.Lock()
+		durable := w.durable
+		w.cmu.Unlock()
+		if durable >= last {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("records up to LSN %d never reached a commit round (durable: %d)", last, durable)
+		}
+	}
+}
