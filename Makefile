@@ -3,7 +3,7 @@ GO ?= go
 # local runs use whatever `staticcheck` is on PATH (skipped if absent).
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test race durable vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos fuzz docs-check loc
+.PHONY: build test race durable vet lint bench bench-match bench-chaos bench-qcache bench-scale bench-wal bench-wire bench-fed bench-pairs chaos fuzz fmt-check docs-check loc
 
 build:
 	$(GO) build ./...
@@ -50,13 +50,21 @@ chaos:
 
 # Fuzz smoke: every fuzz target for a fixed 10 s each — the wire decoder,
 # runtime.Dispatch (batch splitting + the reused decoder), the Turtle
-# parser and inference. A failing input is written under the package's
-# testdata/fuzz/ and replays in plain `go test` from then on.
+# parser and inference, and the semantic match record against its
+# profile-walking oracle. A failing input is written under the
+# package's testdata/fuzz/ and replays in plain `go test` from then on.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime=10s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime=10s
 	$(GO) test ./internal/rdf -run '^$$' -fuzz '^FuzzParseTurtle$$' -fuzztime=10s
 	$(GO) test ./internal/rdf -run '^$$' -fuzz '^FuzzInference$$' -fuzztime=10s
+	$(GO) test ./internal/match -run '^$$' -fuzz '^FuzzSemanticRecord$$' -fuzztime=10s
+
+# Fails when a Go file is not gofmt-formatted, and names it. The
+# benchmark's build directory (.bench_build/) is not the repository's.
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Fault-sweep benchmarks (availability/latency degradation curves);
 # emits BENCH_chaos.json.

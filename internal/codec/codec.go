@@ -196,25 +196,45 @@ func (r *Reader) BytesVar() ([]byte, error) {
 	return v, nil
 }
 
-// StringSlice reads a count-prefixed string slice.
-func (r *Reader) StringSlice() ([]string, error) {
+// View reads a length-prefixed string as a substring of src, which must
+// hold the bytes the reader decodes: no copy is made, so every view of
+// one src shares its single allocation.
+func (r *Reader) View(src string) (string, error) {
+	b, err := r.BytesVar()
+	if err != nil {
+		return "", err
+	}
+	return src[r.off-len(b) : r.off], nil
+}
+
+// Count reads the element count that prefixes a string slice. A string
+// needs at least one length byte, so a count above Remaining is
+// rejected before anything is preallocated for it.
+func (r *Reader) Count() (int, error) {
 	n, err := r.Uvarint()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if n > MaxBytes {
-		return nil, fmt.Errorf("%w: %d strings", ErrTooLong, n)
+		return 0, fmt.Errorf("%w: %d strings", ErrTooLong, n)
 	}
-	// A string needs at least one length byte, so bound n by Remaining
-	// to prevent huge preallocation from corrupt counts.
 	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("%w: %d strings with %d bytes left", ErrTruncated, n, r.Remaining())
+		return 0, fmt.Errorf("%w: %d strings with %d bytes left", ErrTruncated, n, r.Remaining())
+	}
+	return int(n), nil
+}
+
+// StringSlice reads a count-prefixed string slice.
+func (r *Reader) StringSlice() ([]string, error) {
+	n, err := r.Count()
+	if err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		return nil, nil
 	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		s, err := r.String()
 		if err != nil {
 			return nil, err

@@ -129,10 +129,10 @@ type Model interface {
 // expanded token strings — one O(1) bucket probe per publish instead of
 // a closure-sized token walk — and to filter output-indexed candidates
 // on category without touching the record. Both methods report
-// ok=false when the value is undeclared, the query cannot be bounded
-// that way, or the ontology carries no compiled index; callers must
-// then fall back to the string-token domain (QueryTokens/SummaryTokens),
-// which degrades both sides of the match symmetrically.
+// ok=false when the value is undeclared or the query cannot be bounded
+// that way (a Thing query); callers must then fall back to the
+// string-token domain (QueryTokens/SummaryTokens), which degrades both
+// sides of the match symmetrically.
 type ConceptIndexer interface {
 	// DescriptionConceptID returns the description's declared concept.
 	DescriptionConceptID(d Description) (int32, bool)

@@ -196,16 +196,53 @@ func semanticPair(t testing.TB) (*SemanticModel, *SemanticDescription) {
 	return m, d
 }
 
+// TestSemanticRoundTrip checks the decoded description against the
+// authored one through the public contract only: the same kind, key,
+// endpoint and payload bytes, the same index keys, and the same
+// evaluation of every query.
 func TestSemanticRoundTrip(t *testing.T) {
 	m, d := semanticPair(t)
+	d.Profile.Inputs = []ontology.Class{c("Track"), c("Ghost")}
+	d.Profile.QoS = map[string]float64{"accuracy": 0.9, "latency": 3}
+	d.Profile.Coverage = &profile.Circle{LatDeg: 60, LonDeg: 10, RadiusKm: 50}
 	got, err := m.DecodeDescription(d.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Profile.Intern(m.Ontology()) // DecodeDescription interns eagerly
-	if !reflect.DeepEqual(got, d) {
-		t.Fatalf("description round trip mismatch")
+	if got.Kind() != d.Kind() || got.ServiceKey() != d.ServiceKey() || got.Endpoint() != d.Endpoint() {
+		t.Fatalf("decoded (%v, %q, %q), authored (%v, %q, %q)",
+			got.Kind(), got.ServiceKey(), got.Endpoint(), d.Kind(), d.ServiceKey(), d.Endpoint())
 	}
+	if !reflect.DeepEqual(got.Encode(), d.Encode()) {
+		t.Fatal("the decoded description encodes to other bytes")
+	}
+	if !reflect.DeepEqual(m.SummaryTokens(got), m.SummaryTokens(d)) || !reflect.DeepEqual(m.OutputConceptIDs(got), m.OutputConceptIDs(d)) {
+		t.Fatal("decoded and authored descriptions carry different index keys")
+	}
+	gid, gok := m.DescriptionConceptID(got)
+	did, dok := m.DescriptionConceptID(d)
+	if gid != did || gok != dok {
+		t.Fatalf("DescriptionConceptID: decoded (%d, %v), authored (%d, %v)", gid, gok, did, dok)
+	}
+	near := &profile.Point{LatDeg: 60.1, LonDeg: 10.1}
+	far := &profile.Point{LatDeg: 63, LonDeg: 10}
+	for _, tpl := range []*profile.Template{
+		{}, {Category: c("Sensor")}, {Category: c("Camera")}, {Category: ontology.Thing},
+		{RequiredOutputs: []ontology.Class{c("Observation")}},
+		{ProvidedInputs: []ontology.Class{c("Track"), c("Ghost")}},
+		{ProvidedInputs: []ontology.Class{c("Track")}},
+		{MinQoS: map[string]float64{"accuracy": 0.5, "latency": 1}},
+		{MinQoS: map[string]float64{"accuracy": 0.95}},
+		{Near: near}, {Near: far},
+	} {
+		for _, min := range []match.Degree{match.Fail, match.Exact} {
+			q := &SemanticQuery{Template: tpl, MinDegree: min}
+			if ev, want := m.Evaluate(q, got), m.Evaluate(q, d); ev != want {
+				t.Fatalf("template %+v: decoded evaluates %+v, authored %+v", tpl, ev, want)
+			}
+		}
+	}
+
 	q := &SemanticQuery{Template: &profile.Template{Category: c("Sensor")}, MinDegree: match.PlugIn}
 	gq, err := m.DecodeQuery(q.Encode())
 	if err != nil {
@@ -217,6 +254,46 @@ func TestSemanticRoundTrip(t *testing.T) {
 	}
 	if _, err := m.DecodeQuery(nil); err == nil {
 		t.Fatal("empty semantic query accepted")
+	}
+}
+
+// TestSemanticRecordFromAnotherOntology: a record decoded by a model
+// over another ontology carries that ontology's class IDs, so a model
+// evaluates and indexes it as if it had decoded the payload itself.
+func TestSemanticRecordFromAnotherOntology(t *testing.T) {
+	m, d := semanticPair(t)
+	// An extra class that sorts first shifts every class ID by one.
+	o := ontology.New(ns)
+	for _, a := range [][2]string{
+		{"Aardvark", "Device"}, {"Sensor", "Device"}, {"Radar", "Sensor"}, {"Camera", "Sensor"}, {"Track", "Observation"},
+	} {
+		if err := o.AddClass(c(a[0]), c(a[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.Freeze()
+	if o.ClassID(c("Radar")) == m.Ontology().ClassID(c("Radar")) {
+		t.Fatal("setup: the foreign ontology numbers Radar alike")
+	}
+	foreign := NewSemanticModel(o)
+	theirs, err := foreign.DecodeDescription(d.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ours, err := m.DecodeDescription(d.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cat := range []ontology.Class{c("Sensor"), c("Radar"), c("Camera"), ontology.Thing} {
+		q := &SemanticQuery{Template: &profile.Template{Category: cat, RequiredOutputs: []ontology.Class{c("Observation")}}}
+		if got, want := m.Evaluate(q, theirs), m.Evaluate(q, ours); got != want {
+			t.Fatalf("query %s: foreign record evaluates %+v, own record %+v", cat, got, want)
+		}
+	}
+	gid, gok := m.DescriptionConceptID(theirs)
+	wid, wok := m.DescriptionConceptID(ours)
+	if gid != wid || gok != wok || !reflect.DeepEqual(m.OutputConceptIDs(theirs), m.OutputConceptIDs(ours)) {
+		t.Fatal("a foreign record carries other index keys than an own one")
 	}
 }
 

@@ -42,6 +42,7 @@ func TestSemanticIndexKeysSound(t *testing.T) {
 	}
 
 	var descs []Description
+	var authored []*profile.Profile // descs[i] decodes authored[i]
 	for _, cat := range cats {
 		for _, os := range outSets {
 			p := &profile.Profile{ServiceIRI: "urn:svc", Category: cat, Outputs: os, Grounding: "g"}
@@ -54,6 +55,7 @@ func TestSemanticIndexKeysSound(t *testing.T) {
 				t.Fatalf("OutputConceptIDs(%v) = %v, want distinct and ascending", os, ids)
 			}
 			descs = append(descs, d)
+			authored = append(authored, p)
 		}
 	}
 	matched := 0
@@ -68,12 +70,12 @@ func TestSemanticIndexKeysSound(t *testing.T) {
 				toks, prunable := m.QueryTokens(q)
 				cids, hasCids := m.QueryConceptIDs(q)
 				groups := m.OutputGroups(q)
-				for _, d := range descs {
+				for i, d := range descs {
 					if !m.Evaluate(q, d).Matched {
 						continue
 					}
 					matched++
-					p := d.(*SemanticDescription).Profile
+					p := authored[i]
 					if prunable && !slices.ContainsFunc(m.SummaryTokens(d), func(s string) bool { return slices.Contains(toks, s) }) {
 						t.Fatalf("query %q matches category %q, but summary pruning drops it", cat, p.Category)
 					}

@@ -11,6 +11,8 @@ import (
 // SemanticDescription wraps a semantic service profile as a pluggable
 // description — the rich tier that "allows clients to engage newly
 // encountered services, given a shared semantic model, or ontology".
+// It is the authoring form a provider builds and encodes; decoding
+// yields a SemanticRecord.
 type SemanticDescription struct {
 	Profile *profile.Profile
 }
@@ -26,6 +28,28 @@ func (d *SemanticDescription) Endpoint() string { return d.Profile.Grounding }
 
 // Encode implements Description.
 func (d *SemanticDescription) Encode() []byte { return d.Profile.Encode() }
+
+// SemanticRecord is a decoded semantic description: the payload
+// compiled once, when it is decoded, into the flat match record the
+// matcher evaluates in place (profile.Record). A registry keeps it by
+// value in its arena record. It holds the payload, which Encode returns
+// unchanged, and views of it for the service key, grounding and
+// category; Name, Text and OntologyIRI are never decoded.
+type SemanticRecord struct {
+	profile.Record
+}
+
+// Kind implements Description.
+func (d *SemanticRecord) Kind() Kind { return KindSemantic }
+
+// ServiceKey implements Description.
+func (d *SemanticRecord) ServiceKey() string { return d.ServiceIRI }
+
+// Endpoint implements Description.
+func (d *SemanticRecord) Endpoint() string { return d.Grounding }
+
+// Encode implements Description.
+func (d *SemanticRecord) Encode() []byte { return []byte(d.Source) }
 
 // SemanticQuery wraps a profile template plus the minimum acceptable
 // match degree — the knob a constrained client turns to let the
@@ -69,17 +93,16 @@ func (m *SemanticModel) Kind() Kind { return KindSemantic }
 // Name implements Model.
 func (m *SemanticModel) Name() string { return "semantic" }
 
-// DecodeDescription implements Model. The decoded profile is interned
-// against the grounding ontology here — decode is the single-writer
-// point before the profile is shared — so the registry's evaluate loop
-// compares integer IDs with zero string-map lookups per candidate.
+// DecodeDescription implements Model: the payload decodes straight
+// into a SemanticRecord compiled against the grounding ontology, so the
+// registry's evaluate loop compares integer IDs with zero string-map
+// lookups and no pointer to chase per candidate.
 func (m *SemanticModel) DecodeDescription(b []byte) (Description, error) {
-	p, err := profile.Decode(b)
-	if err != nil {
+	d := &SemanticRecord{}
+	if err := profile.DecodeRecord(b, m.onto, &d.Record); err != nil {
 		return nil, err
 	}
-	p.Intern(m.onto)
-	return &SemanticDescription{Profile: p}, nil
+	return d, nil
 }
 
 // DecodeQuery implements Model. Like DecodeDescription, the template is
@@ -107,16 +130,55 @@ func (e errorString) Error() string { return string(e) }
 // the evaluation is the match.Degree so cross-layer reports stay
 // meaningful.
 func (m *SemanticModel) Evaluate(q Query, d Description) Evaluation {
-	sq, ok1 := q.(*SemanticQuery)
-	sd, ok2 := d.(*SemanticDescription)
-	if !ok1 || !ok2 {
+	sq, ok := q.(*SemanticQuery)
+	if !ok {
 		return Evaluation{}
 	}
-	r := m.matcher.Match(sq.Template, sd.Profile)
+	var r match.Result
+	switch d := d.(type) {
+	case *SemanticRecord:
+		rec := &d.Record
+		if rec.Ontology() != m.onto {
+			if rec = m.record(d); rec == nil {
+				return Evaluation{}
+			}
+		}
+		r = m.matcher.MatchRecord(sq.Template, rec)
+	case *SemanticDescription:
+		r = m.matcher.Match(sq.Template, d.Profile)
+	default:
+		return Evaluation{}
+	}
 	if !r.Matches(sq.MinDegree) {
 		return Evaluation{}
 	}
 	return Evaluation{Matched: true, Degree: uint8(r.Degree), Score: r.Score}
+}
+
+// record returns the description's match record against m's ontology,
+// nil for a description of another model. A record decoded by a model
+// over another ontology, or an authoring description not interned
+// against this one, is compiled afresh.
+func (m *SemanticModel) record(d Description) *profile.Record {
+	switch d := d.(type) {
+	case *SemanticRecord:
+		if d.Ontology() == m.onto {
+			return &d.Record
+		}
+		var r profile.Record
+		if profile.DecodeRecord([]byte(d.Source), m.onto, &r) != nil {
+			return nil
+		}
+		return &r
+	case *SemanticDescription:
+		if r := d.Profile.RecordFor(m.onto); r != nil {
+			return r
+		}
+		r := &profile.Record{}
+		profile.CompileRecord(d.Profile, m.onto, r)
+		return r
+	}
+	return nil
 }
 
 // SummaryTokens implements Model: the advertised category concept. A
@@ -124,11 +186,11 @@ func (m *SemanticModel) Evaluate(q Query, d Description) Evaluation {
 // neighbourhood on the query side, keeping gossiped summaries small —
 // important, since summaries travel between registries periodically.
 func (m *SemanticModel) SummaryTokens(d Description) []string {
-	sd, ok := d.(*SemanticDescription)
-	if !ok || sd.Profile.Category == "" {
+	r := m.record(d)
+	if r == nil || r.Category == "" {
 		return nil
 	}
-	return []string{string(sd.Profile.Category)}
+	return []string{string(r.Category)}
 }
 
 // QueryTokens implements Model: every class standing in a subsumption
@@ -159,19 +221,14 @@ func (m *SemanticModel) QueryTokens(q Query) ([]string, bool) {
 }
 
 // DescriptionConceptID implements ConceptIndexer: the interned ID of
-// the advertised category. ok=false for undeclared categories or an
-// uncompiled ontology — the caller falls back to string tokens, the
-// same degradation Intern itself applies.
+// the advertised category. ok=false for an undeclared category, which
+// has no ID; the caller then falls back to its string token.
 func (m *SemanticModel) DescriptionConceptID(d Description) (int32, bool) {
-	sd, ok := d.(*SemanticDescription)
-	if !ok {
+	r := m.record(d)
+	if r == nil || r.CategoryID() == ontology.NoClass {
 		return 0, false
 	}
-	ip := sd.Profile.InternedFor(m.onto)
-	if ip == nil || ip.Category == ontology.NoClass {
-		return 0, false
-	}
-	return int32(ip.Category), true
+	return int32(r.CategoryID()), true
 }
 
 // QueryConceptIDs implements ConceptIndexer: the subsumption closure of
@@ -196,16 +253,13 @@ func (m *SemanticModel) QueryConceptIDs(q Query) ([]int32, bool) {
 // rates them Fail against every declared requested output except Thing,
 // and neither a Thing nor an undeclared requested output forms a group.
 func (m *SemanticModel) OutputConceptIDs(d Description) []int32 {
-	sd, ok := d.(*SemanticDescription)
-	if !ok {
+	r := m.record(d)
+	if r == nil {
 		return nil
 	}
-	ip := sd.Profile.InternedFor(m.onto)
-	if ip == nil {
-		return nil
-	}
-	out := make([]int32, 0, len(ip.Outputs))
-	for _, id := range ip.Outputs {
+	outs := r.Outputs()
+	out := make([]int32, 0, len(outs))
+	for _, id := range outs {
 		if id != ontology.NoClass {
 			out = append(out, int32(id))
 		}

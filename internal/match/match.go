@@ -87,20 +87,35 @@ func New(o *ontology.Ontology) *Matcher {
 	return &Matcher{onto: o}
 }
 
-// Match evaluates the template against the profile. The overall degree
-// is the weakest aspect degree (a chain is as strong as its weakest
-// link); the score aggregates concept similarities for ranking.
+// Match evaluates the template against the profile's match record:
+// the one Profile.Intern cached for m's ontology, or one compiled for
+// this call.
 func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
+	if r := p.RecordFor(m.onto); r != nil {
+		return m.MatchRecord(t, r)
+	}
+	var r profile.Record
+	profile.CompileRecord(p, m.onto, &r)
+	return m.MatchRecord(t, &r)
+}
+
+// MatchRecord evaluates the template against a match record compiled
+// against m's ontology. The overall degree is the weakest aspect degree
+// (a chain is as strong as its weakest link); the score aggregates
+// concept similarities for ranking. Concepts compare by interned ID;
+// a pair with an undeclared side keeps string semantics.
+func (m *Matcher) MatchRecord(t *profile.Template, r *profile.Record) Result {
+	// A template interned against m's ontology carries its concept IDs;
+	// a raw one has each resolved when it is compared.
+	var catID ontology.ClassID
+	var outIDs, inIDs []ontology.ClassID
+	if ti := t.InternedFor(m.onto); ti != nil {
+		catID, outIDs, inIDs = ti.Category, ti.RequiredOutputs, ti.ProvidedInputs
+	} else {
+		catID = m.onto.ClassID(t.Category)
+	}
 	overall := Exact
 	simSum, simN := 0.0, 0
-
-	// Interned views let the hot loops below compare integer IDs with
-	// zero string-map lookups. Absent views (profiles never interned,
-	// or interned against another ontology) resolve IDs per concept;
-	// pairs with an undeclared side keep string semantics.
-	ti := t.InternedFor(m.onto)
-	pi := p.InternedFor(m.onto)
-
 	consider := func(d Degree, sim float64) {
 		if d < overall {
 			overall = d
@@ -111,18 +126,7 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 
 	// Category: requested concept vs advertised concept.
 	if t.Category != "" {
-		var reqID, advID ontology.ClassID
-		if ti != nil {
-			reqID = ti.Category
-		} else {
-			reqID = m.onto.ClassID(t.Category)
-		}
-		if pi != nil {
-			advID = pi.Category
-		} else {
-			advID = m.onto.ClassID(p.Category)
-		}
-		d, s := m.evalConcept(t.Category, p.Category, reqID, advID)
+		d, s := m.evalConcept(t.Category, r.Category, catID, r.CategoryID())
 		consider(d, s)
 		if d == Fail {
 			return Result{Degree: Fail}
@@ -130,22 +134,12 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 	}
 	// Outputs: every required output must be served by the best
 	// advertised output.
+	outs := r.Outputs()
 	for i, want := range t.RequiredOutputs {
-		var wantID ontology.ClassID
-		if ti != nil {
-			wantID = ti.RequiredOutputs[i]
-		} else {
-			wantID = m.onto.ClassID(want)
-		}
+		wantID := m.conceptID(outIDs, want, i)
 		best, sim := Fail, 0.0
-		for j, have := range p.Outputs {
-			var haveID ontology.ClassID
-			if pi != nil {
-				haveID = pi.Outputs[j]
-			} else {
-				haveID = m.onto.ClassID(have)
-			}
-			d, s := m.evalConcept(want, have, wantID, haveID)
+		for j, haveID := range outs {
+			d, s := m.evalConcept(want, r.OutputIRI(j), wantID, haveID)
 			if d > best || (d == best && s > sim) {
 				best, sim = d, s
 			}
@@ -157,45 +151,46 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 	}
 	// Inputs: every advertised input must be satisfiable from what the
 	// client provides. Direction is reversed: the client's concept must
-	// specialize (or equal) the service's expected input.
-	for i, need := range p.Inputs {
-		if len(t.ProvidedInputs) == 0 {
-			// The template does not constrain inputs at all; treat the
-			// aspect as unconstrained rather than failing every service
-			// that needs input.
-			continue
-		}
-		var needID ontology.ClassID
-		if pi != nil {
-			needID = pi.Inputs[i]
-		} else {
-			needID = m.onto.ClassID(need)
-		}
-		best, sim := Fail, 0.0
-		for j, have := range t.ProvidedInputs {
-			var haveID ontology.ClassID
-			if ti != nil {
-				haveID = ti.ProvidedInputs[j]
-			} else {
-				haveID = m.onto.ClassID(have)
+	// specialize (or equal) the service's expected input. A template
+	// that provides no inputs does not constrain them at all, rather
+	// than failing every service that needs input.
+	if len(t.ProvidedInputs) > 0 {
+		for j, needID := range r.Inputs() {
+			best, sim := Fail, 0.0
+			for k, have := range t.ProvidedInputs {
+				d, s := m.evalConcept(r.InputIRI(j), have, needID, m.conceptID(inIDs, have, k))
+				if d > best || (d == best && s > sim) {
+					best, sim = d, s
+				}
 			}
-			d, s := m.evalConcept(need, have, needID, haveID)
-			if d > best || (d == best && s > sim) {
-				best, sim = d, s
+			consider(best, sim)
+			if best == Fail {
+				return Result{Degree: Fail}
 			}
-		}
-		consider(best, sim)
-		if best == Fail {
-			return Result{Degree: Fail}
 		}
 	}
-	// QoS thresholds are hard constraints: missing attribute or value
-	// below threshold fails. Margins are summed in attribute order, so
-	// the score does not depend on map iteration order.
-	qosMargin := 0.0
-	for _, f := range t.QoSFloors() {
-		v, ok := p.QoS[f.Attr]
-		if !ok || v < f.Min {
+	// QoS thresholds are hard constraints: a missing attribute, or a
+	// value that is not at least the floor (NaN on either side never
+	// is), fails. Floors and the record's values are both sorted by
+	// attribute, so one merge pass finds every attribute, and margins
+	// are summed in attribute order: the score does not depend on map
+	// iteration order.
+	floors := t.QoSFloors()
+	qos := r.QoS()
+	qosMargin, k := 0.0, 0
+	for i := range floors {
+		f := &floors[i]
+		c := 1
+		for ; k < len(qos); k++ {
+			if c = qos[k].CompareFloor(f); c >= 0 {
+				break
+			}
+		}
+		if c != 0 {
+			return Result{Degree: Fail}
+		}
+		v := qos[k].Value
+		if !(v >= f.Min) {
 			return Result{Degree: Fail}
 		}
 		if f.Min > 0 {
@@ -204,7 +199,7 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 	}
 	// Coverage: a service with a declared coverage area must cover the
 	// requester's position.
-	if t.Near != nil && p.Coverage != nil && !p.Coverage.Contains(t.Near.LatDeg, t.Near.LonDeg) {
+	if t.Near != nil && !r.Covers(*t.Near) {
 		return Result{Degree: Fail}
 	}
 
@@ -215,14 +210,23 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 		score = 1 // unconstrained template: everything is a perfect fit
 	}
 	// QoS margin is a tie-breaker worth at most 0.1.
-	if len(t.MinQoS) > 0 {
-		margin := qosMargin / float64(len(t.MinQoS))
+	if len(floors) > 0 {
+		margin := qosMargin / float64(len(floors))
 		if margin > 1 {
 			margin = 1
 		}
 		score += margin * 0.1
 	}
 	return Result{Degree: overall, Score: score}
+}
+
+// conceptID returns the ID of a template concept, c at index i of its
+// list: from the list's interned IDs when there are any, else resolved.
+func (m *Matcher) conceptID(ids []ontology.ClassID, c ontology.Class, i int) ontology.ClassID {
+	if ids != nil {
+		return ids[i]
+	}
+	return m.onto.ClassID(c)
 }
 
 // evalConcept compares a requested concept against an advertised one
@@ -237,15 +241,18 @@ func (m *Matcher) Match(t *profile.Template, p *profile.Profile) Result {
 // Declared concepts compare by interned ID. An undeclared concept
 // (NoClass) has no ID and similarity 0 to everything, so a pair with
 // one compares by IRI: two equal undeclared concepts rate Exact, and
-// Thing subsumes an undeclared concept (open-world lenience).
+// Thing — always declared — subsumes an undeclared concept (open-world
+// lenience). Only an undeclared side's IRI is read.
 func (m *Matcher) evalConcept(req, adv ontology.Class, reqID, advID ontology.ClassID) (Degree, float64) {
 	if reqID == ontology.NoClass || advID == ontology.NoClass {
 		switch {
-		case req == adv:
-			return Exact, 0
-		case req == ontology.Thing:
+		case reqID == advID:
+			if req == adv {
+				return Exact, 0
+			}
+		case reqID == m.onto.ThingID():
 			return PlugIn, 0
-		case adv == ontology.Thing:
+		case advID == m.onto.ThingID():
 			return Subsumed, 0
 		}
 		return Fail, 0

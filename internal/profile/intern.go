@@ -2,20 +2,11 @@ package profile
 
 import "semdisco/internal/ontology"
 
-// InternedProfile carries the interned ClassIDs of a profile's
-// category and I/O concepts. The registry interns each stored profile
-// once at decode time so the semantic evaluate loop compares integer
-// IDs instead of IRI strings — zero string-map lookups after the plan
-// cache hit. The struct is immutable after Intern builds it and may be
-// shared freely between goroutines and clones.
-type InternedProfile struct {
-	onto     *ontology.Ontology
-	Category ontology.ClassID
-	Inputs   []ontology.ClassID
-	Outputs  []ontology.ClassID
-}
-
-// InternedTemplate is the query-side counterpart of InternedProfile.
+// InternedTemplate carries the interned ClassIDs of a template's
+// category and I/O concepts, so the matcher compares integer IDs with
+// its candidates' records instead of IRI strings. The struct is
+// immutable after Intern builds it and may be shared freely between
+// goroutines.
 type InternedTemplate struct {
 	onto            *ontology.Ontology
 	Category        ontology.ClassID
@@ -23,30 +14,25 @@ type InternedTemplate struct {
 	ProvidedInputs  []ontology.ClassID
 }
 
-// Intern resolves the profile's concepts against o's interned class IDs
-// and caches the result on the profile; o must be frozen, and a nil
-// ontology clears the cache. Undeclared concepts intern to ontology.NoClass; the matcher
-// compares those pairs by IRI. Not safe for concurrent use with
-// readers — intern before sharing the profile.
+// Intern compiles the profile's match record (CompileRecord) against
+// o and caches it on the profile; o must be frozen, and a nil ontology
+// clears the cache. Not safe for concurrent use with readers — intern before
+// sharing the profile, and again after changing it.
 func (p *Profile) Intern(o *ontology.Ontology) {
 	if o == nil {
-		p.itn = nil
+		p.rec = nil
 		return
 	}
-	p.itn = &InternedProfile{
-		onto:     o,
-		Category: o.ClassID(p.Category),
-		Inputs:   internClasses(o, p.Inputs),
-		Outputs:  internClasses(o, p.Outputs),
-	}
+	p.rec = &Record{}
+	CompileRecord(p, o, p.rec)
 }
 
-// InternedFor returns the cached interned view when it was built
-// against exactly o (pointer identity), nil otherwise. Never resolves
+// RecordFor returns the cached match record when Intern built it
+// against exactly o (pointer identity), nil otherwise. Never compiles
 // lazily, so it is safe to call concurrently.
-func (p *Profile) InternedFor(o *ontology.Ontology) *InternedProfile {
-	if itn := p.itn; itn != nil && itn.onto == o {
-		return itn
+func (p *Profile) RecordFor(o *ontology.Ontology) *Record {
+	if r := p.rec; r != nil && r.onto == o {
+		return r
 	}
 	return nil
 }

@@ -53,9 +53,9 @@ type Profile struct {
 	// repository (§4.6).
 	OntologyIRI string
 
-	// itn caches interned ClassIDs for one ontology (see intern.go).
+	// rec caches the match record for one ontology (see intern.go).
 	// Immutable once set; Clone shares it.
-	itn *InternedProfile
+	rec *Record
 }
 
 // Circle is a geographic coverage area: a center and radius. The flat
@@ -349,6 +349,7 @@ type Template struct {
 type QoSFloor struct {
 	Attr string
 	Min  float64
+	key  uint64 // attrKey(Attr)
 }
 
 // QoSFloors returns MinQoS sorted by attribute name: the fixed order the
@@ -368,7 +369,7 @@ func sortedFloors(minQoS map[string]float64) []QoSFloor {
 	}
 	out := make([]QoSFloor, 0, len(minQoS))
 	for k, v := range minQoS {
-		out = append(out, QoSFloor{Attr: k, Min: v})
+		out = append(out, QoSFloor{Attr: k, Min: v, key: attrKey(k)})
 	}
 	slices.SortFunc(out, func(a, b QoSFloor) int { return strings.Compare(a.Attr, b.Attr) })
 	return out

@@ -214,3 +214,47 @@ func TestBinarySmallerThanRDF(t *testing.T) {
 		t.Fatalf("binary form %dB not ≤ half of N-Triples %dB", bin, ntl)
 	}
 }
+
+// TestDecodeRecordEqualsCompile: decoding a payload straight into its
+// record gives the record Compile builds from the decoded profile, bar
+// the payload it keeps; every truncation of the payload fails both
+// decoders alike.
+func TestDecodeRecordEqualsCompile(t *testing.T) {
+	o := ontology.New(ns)
+	for _, c := range []string{"Radar", "Track", "Image", "AreaOfInterest"} {
+		if err := o.AddClass(ontology.Class(ns + c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.Freeze()
+	wide := sampleProfile()
+	wide.Inputs = append(wide.Inputs, ontology.Class(ns+"Ghost"))
+	wide.Outputs = append(wide.Outputs, ontology.Class(ns+"Blob"), ontology.Thing, "")
+	wide.QoS = map[string]float64{"accuracy": 0.9, "latency": 3, "updateHz": 4, "cost": 2}
+	for _, p := range []*Profile{sampleProfile(), wide, {}} {
+		enc := p.Encode()
+		var got Record
+		if err := DecodeRecord(enc, o, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Source != string(enc) {
+			t.Fatal("the record does not keep its payload")
+		}
+		dec, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Record
+		CompileRecord(dec, o, &want)
+		got.Source = ""
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeRecord = %+v, CompileRecord(Decode) = %+v", got, want)
+		}
+		for n := range enc {
+			_, perr := Decode(enc[:n])
+			if rerr := DecodeRecord(enc[:n], o, &got); (perr == nil) != (rerr == nil) {
+				t.Fatalf("truncated at %d: Decode says %v, DecodeRecord says %v", n, perr, rerr)
+			}
+		}
+	}
+}

@@ -67,8 +67,8 @@ func TestIndexedEvaluateMatchesBruteForce(t *testing.T) {
 				if st.expires.Before(t0) {
 					continue
 				}
-				if model.Evaluate(q, st.desc).Matched {
-					out[st.desc.ServiceKey()] = true
+				if model.Evaluate(q, st.description()).Matched {
+					out[st.serviceKey()] = true
 				}
 			}
 		}

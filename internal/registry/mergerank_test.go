@@ -61,10 +61,10 @@ func mergeRankOracle(s *Store, kind describe.Kind, payload []byte, pools [][]wir
 		if !ev.Matched {
 			continue
 		}
-		top.push(hit{adv: a, key: key, ev: ev})
+		top.push(&hit{adv: a, key: key, ev: ev})
 	}
 	hits := top.hits
-	sort.Slice(hits, func(i, j int) bool { return hitBefore(hits[i], hits[j]) })
+	sort.Slice(hits, func(i, j int) bool { return hitBefore(&hits[i], &hits[j]) })
 	out := make([]wire.Advertisement, len(hits))
 	for i, h := range hits {
 		out[i] = h.adv
@@ -203,7 +203,7 @@ func TestMergeRankMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, a := range own {
-				if w.s.residentDesc(describe.KindSemantic, &a) != nil {
+				if w.s.loadResident(describe.KindSemantic, &a, new(held)) {
 					borrowed++
 				}
 			}
@@ -249,7 +249,7 @@ func TestMergeRankResidentNeedsSameBytes(t *testing.T) {
 	if _, _, err := s.Publish(adv, t0); err != nil {
 		t.Fatal(err)
 	}
-	if a := wire.CloneAdvert(adv); s.residentDesc(describe.KindSemantic, &a) == nil {
+	if a := wire.CloneAdvert(adv); !s.loadResident(describe.KindSemantic, &a, new(held)) {
 		t.Fatal("an equal copy did not resolve to the resident record")
 	}
 	for name, mutate := range map[string]func(*wire.Advertisement){
@@ -259,11 +259,11 @@ func TestMergeRankResidentNeedsSameBytes(t *testing.T) {
 	} {
 		a := wire.CloneAdvert(adv)
 		mutate(&a)
-		if s.residentDesc(describe.KindSemantic, &a) != nil {
+		if s.loadResident(describe.KindSemantic, &a, new(held)) {
 			t.Errorf("advert with another %s resolved to the resident record", name)
 		}
 	}
-	if s.residentDesc(describe.KindKV, &adv) != nil {
+	if s.loadResident(describe.KindKV, &adv, new(held)) {
 		t.Error("advert resolved to a resident record of another kind")
 	}
 }
@@ -271,7 +271,7 @@ func TestMergeRankResidentNeedsSameBytes(t *testing.T) {
 // TestMergeRankRacesWrites merges own-evaluation pools while publishes,
 // republishes and removes recycle the arena slots under them. MergeRank
 // is a function of its arguments alone, so the oracle still applies;
-// under -race this also checks the borrowed descriptions.
+// under -race this also checks the copied resident records.
 func TestMergeRankRacesWrites(t *testing.T) {
 	w := newMergeWorld(t, 9, 400)
 	stop := make(chan struct{})

@@ -179,6 +179,39 @@ func (sh *shard) refreshDeadlineLocked() {
 	sh.nextDeadline.Store(&t)
 }
 
+// held is a decoded description as the store keeps it: a semantic
+// record by value (describe.SemanticRecord, the match record a query
+// evaluates in place), any other model's description by reference.
+type held struct {
+	desc describe.Description // nil for a semantic record
+	sem  describe.SemanticRecord
+}
+
+func (h *held) set(d describe.Description) {
+	if r, ok := d.(*describe.SemanticRecord); ok {
+		h.desc, h.sem = nil, *r
+		return
+	}
+	h.desc, h.sem = d, describe.SemanticRecord{}
+}
+
+// description returns the held description. A semantic one points into
+// the holder, so it is valid only while the holder is: for an arena
+// record, while the caller holds the shard lock.
+func (h *held) description() describe.Description {
+	if h.desc != nil {
+		return h.desc
+	}
+	return &h.sem
+}
+
+func (h *held) serviceKey() string {
+	if h.desc != nil {
+		return h.desc.ServiceKey()
+	}
+	return h.sem.ServiceIRI
+}
+
 // stored is one arena-resident advert record. Apart from its lease
 // deadline and heap position, which a renewal moves in place, it is
 // immutable while linked into the shard indexes — updates unlink,
@@ -186,15 +219,17 @@ func (sh *shard) refreshDeadlineLocked() {
 // nothing derived from a *stored may be used once the shard lock is
 // dropped; escaping data is snapshotted by value (hit, removedAdvert)
 // under the lock. expires is the advert's lease deadline, the only copy
-// there is. svcSeq records which byService write this advert made. lsn
+// there is; it sits next to the held description, which for a semantic
+// advert is the match record itself, so a scan reads the two together.
+// svcSeq records which byService write this advert made. lsn
 // is the log record the advert's residency rests on: its publish, or
 // the last renewal whose ack waited for its barrier; a renewal acks
 // early only once that record is durable. Like every other field they
 // are read and written only under the shard lock.
 type stored struct {
 	advert  wire.Advertisement
-	desc    describe.Description
 	expires time.Time
+	held
 	toks    []tok   // interned, deduplicated summary tokens
 	outs    []int32 // declared output concept IDs, distinct and ascending
 	pos     []int32 // position in each token's, then each output's, posting list
@@ -456,15 +491,14 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 		}
 		// An update may change the description's tokens: unindex first,
 		// and invalidate what the old tokens could see.
-		snap, _ := sh.removeLocked(adv.ID)
-		s.bumpRemoved(snap)
+		s.unlinkLocked(sh, adv.ID)
 		s.countAdd(-1)
 	}
 	granted := s.leasePolicy.Clamp(time.Duration(adv.LeaseMillis) * time.Millisecond)
 	mLeaseGranted.Inc()
 	st := sh.alloc()
 	st.advert = adv
-	st.desc = desc
+	st.set(desc)
 	st.expires = now.Add(granted)
 	st.toks = s.toks.internAll(tokens)
 	st.outs = outs
@@ -505,8 +539,7 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 		osh := s.shardFor(oldSvc.id)
 		osh.mu.Lock()
 		if prev, ok := osh.adverts[oldSvc.id]; ok && adv.Version >= prev.advert.Version {
-			snap, _ := osh.removeLocked(oldSvc.id)
-			s.bumpRemoved(snap)
+			s.unlinkLocked(osh, oldSvc.id)
 			osh.refreshDeadlineLocked()
 			s.countAdd(-1)
 			if s.backend != nil {
@@ -585,13 +618,11 @@ func (sh *shard) insertLocked(st *stored) {
 // removedAdvert is the by-value snapshot removeLocked takes before the
 // record's arena slot is released: everything a caller may need after
 // the shard lock is dropped (ExpireThrough returns the advert,
-// dropServiceKey compare-and-deletes on key/id/seq, bumpRemoved reads
-// the description's tokens). The Payload slice header aliases the
-// immutable publish-time backing array and descriptions are immutable
-// once decoded, so copying the struct is safe and cheap.
+// dropServiceKey compare-and-deletes on key/id/seq). The Payload slice
+// header aliases the immutable publish-time backing array, so copying
+// the struct is safe and cheap.
 type removedAdvert struct {
 	advert wire.Advertisement
-	desc   describe.Description
 	svcKey string
 	svcSeq uint64
 }
@@ -642,23 +673,28 @@ func (sh *shard) removeLocked(id uuid.UUID) (removedAdvert, bool) {
 		}
 		ki.byOut[o] = b
 	}
-	snap := removedAdvert{advert: st.advert, desc: st.desc, svcKey: st.desc.ServiceKey(), svcSeq: st.svcSeq}
+	snap := removedAdvert{advert: st.advert, svcKey: st.serviceKey(), svcSeq: st.svcSeq}
 	sh.release(st)
 	return snap, true
 }
 
 // summaryTokens re-derives a resident description's summary tokens —
 // the strings its result-cache generation buckets hash (the record
-// keeps only interned IDs).
-func (s *Store) summaryTokens(kind describe.Kind, desc describe.Description) []string {
-	model, _ := s.models.Model(kind) // the advert was stored, so its model exists
-	return model.SummaryTokens(desc)
+// keeps only interned IDs). The caller holds st's shard lock.
+func (s *Store) summaryTokens(st *stored) []string {
+	model, _ := s.models.Model(st.advert.Kind) // the advert was stored, so its model exists
+	return model.SummaryTokens(st.description())
 }
 
-// bumpRemoved invalidates the cached results a just-removed advert
-// could have been part of; the caller still holds its shard write lock.
-func (s *Store) bumpRemoved(r removedAdvert) {
-	s.gens.bump(s.summaryTokens(r.advert.Kind, r.desc))
+// unlinkLocked invalidates the cached results id's advert could be part
+// of, then removes it (removeLocked); the caller holds sh's write lock.
+func (s *Store) unlinkLocked(sh *shard, id uuid.UUID) (removedAdvert, bool) {
+	st, ok := sh.adverts[id]
+	if !ok {
+		return removedAdvert{}, false
+	}
+	s.gens.bump(s.summaryTokens(st))
+	return sh.removeLocked(id)
 }
 
 // dropServiceKey clears the service-key mapping if it still holds the
@@ -754,7 +790,7 @@ func (s *Store) renewLocked(sh *shard, st *stored, now time.Time) (granted time.
 	st.expires = now.Add(granted)
 	heap.Fix(&sh.expiry, int(st.heapIdx))
 	if !wasAlive || st.expires.Before(oldExp) {
-		s.gens.bump(s.summaryTokens(st.advert.Kind, st.desc))
+		s.gens.bump(s.summaryTokens(st))
 	}
 	sh.refreshDeadlineLocked()
 	if s.backend != nil {
@@ -779,10 +815,9 @@ func (s *Store) Remove(id uuid.UUID) bool {
 func (s *Store) RemoveAsync(id uuid.UUID) (bool, uint64) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	snap, ok := sh.removeLocked(id)
+	snap, ok := s.unlinkLocked(sh, id)
 	var lsn uint64
 	if ok {
-		s.bumpRemoved(snap)
 		sh.refreshDeadlineLocked()
 		if s.backend != nil {
 			lsn = s.backend.AppendRemove(id)
@@ -817,8 +852,7 @@ func (s *Store) ExpireThrough(now time.Time) []wire.Advertisement {
 		sh.mu.Lock()
 		start := len(out)
 		for len(sh.expiry) > 0 && !sh.expiry[0].expires.After(now) {
-			snap, _ := sh.removeLocked(sh.expiry[0].advert.ID)
-			s.bumpRemoved(snap)
+			snap, _ := s.unlinkLocked(sh, sh.expiry[0].advert.ID)
 			out = append(out, snap.advert)
 			dropped = append(dropped, snap)
 			s.countAdd(-1)
@@ -1007,10 +1041,10 @@ func (sh *shard) collect(kind describe.Kind, plan *queryPlan, qtoks []tok, now t
 		if st.expires.Before(now) {
 			return // expired but not yet purged: never serve stale data
 		}
-		if ev := plan.model.Evaluate(plan.query, st.desc); ev.Matched {
+		if ev := plan.model.Evaluate(plan.query, st.description()); ev.Matched {
 			// The hit snapshots the advert by value: the record's arena
 			// slot may be recycled the moment the read lock drops.
-			top.push(hit{adv: st.advert, key: st.desc.ServiceKey(), ev: ev, expires: st.expires})
+			top.push(&hit{adv: st.advert, key: st.serviceKey(), ev: ev, expires: st.expires})
 		}
 	}
 	if g := ki.smallestGroup(plan, qtoks); g >= 0 {
@@ -1116,10 +1150,10 @@ func (s *Store) collectParallel(kind describe.Kind, plan *queryPlan, qtoks []tok
 // mergeCand is one pooled advertisement on its way through MergeRank;
 // its index in the candidate slice is its arrival rank across the pools.
 type mergeCand struct {
-	adv  *wire.Advertisement // in the caller's pool
-	desc describe.Description
-	key  string
-	ev   describe.Evaluation
+	adv *wire.Advertisement // in the caller's pool
+	held
+	key string
+	ev  describe.Evaluation
 }
 
 // MergeRank re-ranks advertisements pooled from several registries and
@@ -1130,8 +1164,8 @@ type mergeCand struct {
 // model ("remote registry had a different opinion") and ranked by
 // rankCompare. The query payload goes through the same plan cache as
 // Evaluate, and an advert the store itself holds — this node's own
-// Evaluate pool — is matched on its resident description, so a query is
-// decoded once per node and a stored advert once per publish.
+// Evaluate pool — is matched on a copy of its resident record, so a
+// query is decoded once per node and a stored advert once per publish.
 func (s *Store) MergeRank(kind describe.Kind, payload []byte, pools [][]wire.Advertisement, opts QueryOptions) ([]wire.Advertisement, error) {
 	plan, err := s.plan(kind, payload)
 	if err != nil {
@@ -1170,12 +1204,14 @@ func (s *Store) MergeRank(kind describe.Kind, payload []byte, pools [][]wire.Adv
 			continue
 		}
 		prev = c.adv.ID
-		if c.desc = s.residentDesc(kind, c.adv); c.desc == nil {
-			if c.desc, err = plan.model.DecodeDescription(c.adv.Payload); err != nil {
+		if !s.loadResident(kind, c.adv, &c.held) {
+			desc, err := plan.model.DecodeDescription(c.adv.Payload)
+			if err != nil {
 				continue // corrupt result from a remote registry: skip
 			}
+			c.set(desc)
 		}
-		c.key = c.desc.ServiceKey()
+		c.key = c.serviceKey()
 		kept = append(kept, i)
 	}
 	// Each service key's run starts with its lowest ID.
@@ -1193,7 +1229,7 @@ func (s *Store) MergeRank(kind describe.Kind, payload []byte, pools [][]wire.Adv
 			continue
 		}
 		prevKey = c.key
-		if c.ev = plan.model.Evaluate(plan.query, c.desc); c.ev.Matched {
+		if c.ev = plan.model.Evaluate(plan.query, c.description()); c.ev.Matched {
 			matched = append(matched, i)
 		}
 	}
@@ -1211,20 +1247,22 @@ func (s *Store) MergeRank(kind describe.Kind, payload []byte, pools [][]wire.Adv
 	return out, nil
 }
 
-// residentDesc returns the store's decoded description of a pooled
-// advert when the store holds that very advert — same ID, kind, version
+// loadResident copies the store's own description of a pooled advert
+// into h when the store holds that very advert — same ID, kind, version
 // and payload bytes (for this node's own Evaluate pool the payload even
 // shares its backing array, which bytes.Equal notices before comparing).
-// Descriptions are immutable once decoded, so the borrowed one outlives
-// the shard lock; nil sends the caller to DecodeDescription.
-func (s *Store) residentDesc(kind describe.Kind, a *wire.Advertisement) describe.Description {
+// A semantic record is copied by value under the shard read lock, since
+// its arena slot may be recycled once the lock drops; false sends the
+// caller to DecodeDescription.
+func (s *Store) loadResident(kind describe.Kind, a *wire.Advertisement, h *held) bool {
 	sh := s.shardFor(a.ID)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if st, ok := sh.adverts[a.ID]; ok && st.advert.Kind == kind && st.advert.Version == a.Version && bytes.Equal(st.advert.Payload, a.Payload) {
-		return st.desc
+		*h = st.held
+		return true
 	}
-	return nil
+	return false
 }
 
 // Summary aggregates the summary tokens of all live advertisements per

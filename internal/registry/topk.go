@@ -44,7 +44,7 @@ func hitCompare(a, b *hit) int {
 	return rankCompare(a.ev, a.key, a.adv.ID, b.ev, b.key, b.adv.ID)
 }
 
-func hitBefore(a, b hit) bool { return hitCompare(&a, &b) < 0 }
+func hitBefore(a, b *hit) bool { return hitCompare(a, b) < 0 }
 
 func sortHits(hits []hit) {
 	slices.SortFunc(hits, func(a, b hit) int { return hitCompare(&a, &b) })
@@ -68,18 +68,24 @@ type topK struct {
 	dropped int
 }
 
-func newTopK(k int) *topK { return &topK{k: k} }
+// topKPrealloc caps the hits newTopK allocates up front: a typical
+// result cap fits, and a huge one grows only as hits arrive.
+const topKPrealloc = 64
+
+func newTopK(k int) *topK {
+	return &topK{k: k, hits: make([]hit, 0, max(0, min(k, topKPrealloc)))}
+}
 
 // worse reports whether hits[i] ranks after hits[j] — the heap is a
 // min-heap under ranking quality.
-func (t *topK) worse(i, j int) bool { return hitBefore(t.hits[j], t.hits[i]) }
+func (t *topK) worse(i, j int) bool { return hitBefore(&t.hits[j], &t.hits[i]) }
 
-func (t *topK) push(h hit) {
+func (t *topK) push(h *hit) {
 	if t.k <= 0 {
 		return
 	}
 	if len(t.hits) < t.k {
-		t.hits = append(t.hits, h)
+		t.hits = append(t.hits, *h)
 		return
 	}
 	if !t.heaped {
@@ -89,10 +95,10 @@ func (t *topK) push(h hit) {
 		t.heaped = true
 	}
 	t.dropped++
-	if !hitBefore(h, t.hits[0]) {
+	if !hitBefore(h, &t.hits[0]) {
 		return // not better than the current worst kept hit
 	}
-	t.hits[0] = h
+	t.hits[0] = *h
 	t.down(0)
 }
 
