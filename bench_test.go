@@ -28,7 +28,6 @@ import (
 	"semdisco/internal/metrics"
 	"semdisco/internal/ontology"
 	"semdisco/internal/profile"
-	"semdisco/internal/rdf"
 	"semdisco/internal/registry"
 	"semdisco/internal/runtime"
 	"semdisco/internal/transport"
@@ -340,13 +339,22 @@ func BenchmarkSubsumes(b *testing.B) {
 func BenchmarkSimilarity(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		onto, levels := workload.GenOntology(workload.OntologySpec{Depth: 6, Branching: 3})
-		leaves := levels[5]
+		leaves := classIDs(onto, levels[5])
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			onto.Similarity(leaves[i%len(leaves)], leaves[(i+7)%len(leaves)])
+			onto.SimilarityID(leaves[i%len(leaves)], leaves[(i+7)%len(leaves)])
 		}
 	})
+}
+
+// classIDs interns classes, as a decoded query or description holds them.
+func classIDs(onto *ontology.Ontology, classes []ontology.Class) []ontology.ClassID {
+	ids := make([]ontology.ClassID, len(classes))
+	for i, c := range classes {
+		ids[i] = onto.ClassID(c)
+	}
+	return ids
 }
 
 func BenchmarkOntologySubsumes(b *testing.B) {
@@ -361,10 +369,10 @@ func BenchmarkOntologySubsumes(b *testing.B) {
 
 func BenchmarkOntologySimilarity(b *testing.B) {
 	onto, levels := benchOntology()
-	leaves := levels[4]
+	leaves := classIDs(onto, levels[4])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		onto.Similarity(leaves[i%len(leaves)], leaves[(i+7)%len(leaves)])
+		onto.SimilarityID(leaves[i%len(leaves)], leaves[(i+7)%len(leaves)])
 	}
 }
 
@@ -421,30 +429,6 @@ func BenchmarkWireUnmarshalQuery(b *testing.B) {
 		if _, err := wire.Unmarshal(data); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkRDFInference(b *testing.B) {
-	onto, _ := benchOntology()
-	src := rdf.EncodeNTriples(onto.ToGraph())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := rdf.ParseTurtle(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rdf.InferRDFS(g)
-	}
-}
-
-func BenchmarkRDFStoreMatch(b *testing.B) {
-	onto, _ := benchOntology()
-	g := onto.ToGraph()
-	rdf.InferRDFS(g)
-	sub := rdf.IRI(rdf.RDFSSubClassOf)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.MatchFunc(rdf.Wildcard, sub, rdf.Wildcard, func(rdf.Triple) bool { return true })
 	}
 }
 

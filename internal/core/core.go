@@ -34,7 +34,6 @@ import (
 	"semdisco/internal/node"
 	"semdisco/internal/ontology"
 	"semdisco/internal/profile"
-	"semdisco/internal/rdf"
 	"semdisco/internal/sim"
 	"semdisco/internal/transport"
 	"semdisco/internal/wire"
@@ -131,18 +130,9 @@ func (r *Registry) Crash() { r.h.Crash() }
 // System.World for failure/partition injection).
 func (r *Registry) Addr() transport.Addr { return r.h.Addr }
 
-// NumAdvertisements reports how many advertisements the registry holds.
-func (r *Registry) NumAdvertisements() int { return r.h.Reg.Store().Len() }
-
 // IsGateway reports whether this registry holds its LAN's WAN-gateway
 // role.
 func (r *Registry) IsGateway() bool { return r.h.Reg.IsGateway() }
-
-// PublishOntology stores an ontology document in the registry's
-// artifact repository under its IRI (§4.6).
-func (r *Registry) PublishOntology(o *ontology.Ontology) {
-	r.h.Reg.Store().PutArtifact(o.IRI, []byte(ontologyTurtle(o)))
-}
 
 // ServiceProfile describes one service for publication.
 type ServiceProfile struct {
@@ -400,10 +390,3 @@ func (c *Client) KnowsRegistry() bool {
 
 // Addr returns the client node's simulated transport address.
 func (c *Client) Addr() transport.Addr { return c.h.Addr }
-
-func ontologyTurtle(o *ontology.Ontology) string {
-	// N-Triples is a Turtle subset, so this stays parseable by
-	// ontology.FromTurtle.
-	g := o.ToGraph()
-	return rdf.EncodeNTriples(g)
-}

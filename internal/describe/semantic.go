@@ -206,7 +206,7 @@ func (m *SemanticModel) QueryTokens(q Query) ([]string, bool) {
 		return nil, false
 	}
 	cat := sq.Template.Category
-	rel := m.onto.Related(cat)
+	rel := m.onto.RelatedIDs(m.onto.ClassID(cat))
 	if len(rel) == 0 {
 		// Unknown category: only a description advertising the identical
 		// (equally unknown) concept, or Thing, which subsumes it, can
@@ -214,8 +214,8 @@ func (m *SemanticModel) QueryTokens(q Query) ([]string, bool) {
 		return []string{string(cat), string(ontology.Thing)}, true
 	}
 	tokens := make([]string, len(rel))
-	for i, c := range rel {
-		tokens[i] = string(c)
+	for i, id := range rel {
+		tokens[i] = string(m.onto.ClassByID(id))
 	}
 	return tokens, true
 }
@@ -233,7 +233,7 @@ func (m *SemanticModel) DescriptionConceptID(d Description) (int32, bool) {
 
 // QueryConceptIDs implements ConceptIndexer: the subsumption closure of
 // the requested category as interned IDs — the ID-domain counterpart of
-// QueryTokens' Related expansion. A Thing query reports ok=false for the
+// QueryTokens' RelatedIDs expansion. A Thing query reports ok=false for the
 // reason QueryTokens makes it unprunable: it also matches descriptions
 // whose category has no concept ID.
 func (m *SemanticModel) QueryConceptIDs(q Query) ([]int32, bool) {

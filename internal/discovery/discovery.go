@@ -8,7 +8,6 @@
 package discovery
 
 import (
-	"sort"
 	"time"
 
 	"semdisco/internal/runtime"
@@ -290,21 +289,6 @@ func (b *Bootstrapper) Current() (wire.PeerInfo, bool) {
 		return bestAny.info, true
 	}
 	return wire.PeerInfo{}, false
-}
-
-// Alternates returns all live registries except the given one, in
-// deterministic order — the failover candidates registry signaling
-// provided.
-func (b *Bootstrapper) Alternates(except wire.NodeID) []wire.PeerInfo {
-	var out []wire.PeerInfo
-	for _, k := range b.regs {
-		if k.dead || k.info.ID == except {
-			continue
-		}
-		out = append(out, k.info)
-	}
-	sort.Slice(out, func(i, j int) bool { return uuid.Compare(out[i].ID, out[j].ID) < 0 })
-	return out
 }
 
 // Known returns the full table size (dead or alive), for tests and

@@ -113,9 +113,8 @@ func TestSeedsAndSignaledAlternates(t *testing.T) {
 	if cur.ID != localID {
 		t.Fatal("local registry not preferred over seed")
 	}
-	alts := f.boot.Alternates(localID)
-	if len(alts) != 2 {
-		t.Fatalf("alternates = %v, want seed + signaled", alts)
+	if n := f.boot.Known(); n != 3 {
+		t.Fatalf("bootstrapper knows %d registries, want local + seed + signaled", n)
 	}
 }
 

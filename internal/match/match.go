@@ -14,7 +14,6 @@ package match
 
 import (
 	"fmt"
-	"sort"
 
 	"semdisco/internal/ontology"
 	"semdisco/internal/profile"
@@ -271,18 +270,12 @@ func (m *Matcher) evalConcept(req, adv ontology.Class, reqID, advID ontology.Cla
 	return Fail, 0
 }
 
-// Ranked pairs a profile with its match result for sorting.
-type Ranked struct {
-	Profile *profile.Profile
-	Result  Result
-}
-
 // CompareQuality is the single best-first ordering rule over
 // (degree, score) pairs: higher degree first, then higher score.
 // Returns <0 when a ranks before b, >0 when after, 0 when tied —
-// callers append their own deterministic tiebreakers. Both match.Rank
-// and the registry's top-K hit ranking derive their total orders from
-// this comparison, so the tiebreak rules cannot drift apart. Degrees
+// callers append their own deterministic tiebreakers. The registry's
+// top-K hit ranking and MergeRank derive their total orders from this
+// comparison, so the tiebreak rules cannot drift apart. Degrees
 // compare numerically, which also fits the non-semantic description
 // models' model-specific degree scales.
 func CompareQuality(aDegree uint8, aScore float64, bDegree uint8, bScore float64) int {
@@ -304,17 +297,4 @@ func CompareQuality(aDegree uint8, aScore float64, bDegree uint8, bScore float64
 // Compare orders r against o with the shared CompareQuality rule.
 func (r Result) Compare(o Result) int {
 	return CompareQuality(uint8(r.Degree), r.Score, uint8(o.Degree), o.Score)
-}
-
-// Rank sorts candidates best-first: by degree, then score, then
-// ServiceIRI for a deterministic total order — the property the
-// registry's query response control (max-k, best-only) relies on.
-func Rank(rs []Ranked) {
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if c := a.Result.Compare(b.Result); c != 0 {
-			return c < 0
-		}
-		return a.Profile.ServiceIRI < b.Profile.ServiceIRI
-	})
 }

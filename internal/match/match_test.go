@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -199,25 +201,41 @@ func TestScoreOrdersSpecificity(t *testing.T) {
 	}
 }
 
+// TestRankDeterministicTotalOrder: Result.Compare orders results best
+// first, by degree and then score, and ties equal results so that a
+// caller's own tiebreaker (here the service IRI, as the client and the
+// centralized baseline use) makes the order total.
 func TestRankDeterministicTotalOrder(t *testing.T) {
 	m := New(testOntology(t))
 	tpl := &profile.Template{Category: c("Sensor")}
-	mk := func(iri, cat string) Ranked {
+	type ranked struct {
+		iri string
+		r   Result
+	}
+	mk := func(iri, cat string) ranked {
 		p := radarService()
 		p.ServiceIRI = iri
 		p.Category = c(cat)
-		return Ranked{Profile: p, Result: m.Match(tpl, p)}
+		return ranked{iri, m.Match(tpl, p)}
 	}
-	rs := []Ranked{
+	rs := []ranked{
 		mk("urn:b", "Radar"),
 		mk("urn:a", "Radar"),  // equal degree+score as urn:b → IRI tiebreak
 		mk("urn:c", "Sensor"), // exact → first
 		mk("urn:d", "CoastalRadar"),
 	}
-	Rank(rs)
+	if rs[0].r.Compare(rs[1].r) != 0 {
+		t.Fatalf("equal results compare %d, want 0", rs[0].r.Compare(rs[1].r))
+	}
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if c := a.r.Compare(b.r); c != 0 {
+			return c
+		}
+		return strings.Compare(a.iri, b.iri)
+	})
 	gotOrder := []string{}
 	for _, r := range rs {
-		gotOrder = append(gotOrder, r.Profile.ServiceIRI)
+		gotOrder = append(gotOrder, r.iri)
 	}
 	want := []string{"urn:c", "urn:a", "urn:b", "urn:d"}
 	for i := range want {

@@ -275,24 +275,6 @@ func (o *Ontology) DepthID(id ClassID) int {
 	return int(o.c.depths[id])
 }
 
-// rowClasses expands a bitset row into classes in ascending-ID
-// (= lexicographic) order.
-func (c *compiledIndex) rowClasses(m []uint64, id ClassID) []Class {
-	r := c.row(m, id)
-	count := 0
-	for _, w := range r {
-		count += bits.OnesCount64(w)
-	}
-	out := make([]Class, 0, count)
-	for w, word := range r {
-		for word != 0 {
-			out = append(out, c.classes[w<<6+bits.TrailingZeros64(word)])
-			word &= word - 1
-		}
-	}
-	return out
-}
-
 // relatedWord is word w of id's related set: its ancestor row OR its
 // descendant row, plus Thing. Thing subsumes every class (SubsumesID
 // special-cases it), yet a top-level equivalence cluster has no Thing
@@ -305,32 +287,13 @@ func (c *compiledIndex) relatedWord(id ClassID, w int) uint64 {
 	return word
 }
 
-// Related returns every class standing in a subsumption relation with c
-// — its reflexive-transitive ancestors and descendants, and Thing; for
-// Thing, every class — in deterministic (lexicographic) order. The
-// semantic description model uses it to expand a query category into
-// its summary-pruning token neighbourhood with a single bitset pass.
-// Unknown classes yield nil.
-func (o *Ontology) Related(cl Class) []Class {
-	o.mustFrozen()
-	c := o.c
-	id, ok := c.ids[cl]
-	if !ok {
-		return nil
-	}
-	ids := o.RelatedIDs(id)
-	out := make([]Class, len(ids))
-	for i, rid := range ids {
-		out[i] = c.classes[rid]
-	}
-	return out
-}
-
-// RelatedIDs is Related in the interned-ID domain: every ClassID
-// standing in a subsumption relation with id (reflexive-transitive
-// ancestors and descendants, and Thing; every ID for Thing), ascending.
-// The registry posts standing semantic queries under this closure and
-// filters candidates against it. Nil when id is invalid.
+// RelatedIDs returns every ClassID standing in a subsumption relation
+// with id — its reflexive-transitive ancestors and descendants, and
+// Thing; for Thing, every ID — ascending, which is the lexicographic
+// order of the classes. The semantic description model expands a query
+// category into its summary-pruning tokens with it, and the registry
+// posts standing semantic queries under this closure and filters
+// candidates against it. Nil when id is invalid.
 func (o *Ontology) RelatedIDs(id ClassID) []ClassID {
 	o.mustFrozen()
 	c := o.c

@@ -173,7 +173,7 @@ func TestRelatedIsTheSubsumptionNeighbourhood(t *testing.T) {
 		all := o.Classes()
 		for _, a := range all {
 			rel := map[Class]bool{}
-			for _, r := range o.Related(a) {
+			for _, r := range o.related(a) {
 				rel[r] = true
 			}
 			for _, b := range all {
@@ -211,26 +211,26 @@ func TestCompiledAgreesWithReference(t *testing.T) {
 		}
 		probe := append(slices.Clone(ref.classes), c("Undeclared"))
 		for _, a := range probe {
-			if got, want := o.Depth(a), ref.Depth(a); got != want {
+			if got, want := o.depth(a), ref.Depth(a); got != want {
 				t.Fatalf("Depth(%s) = %d, want %d", a, got, want)
 			}
-			if got, want := o.Ancestors(a), ref.Ancestors(a); !reflect.DeepEqual(got, want) {
+			if got, want := o.ancestors(a), ref.Ancestors(a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Ancestors(%s) = %v, want %v", a, got, want)
 			}
-			if got, want := o.Descendants(a), ref.Descendants(a); !reflect.DeepEqual(got, want) {
+			if got, want := o.descendants(a), ref.Descendants(a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Descendants(%s) = %v, want %v", a, got, want)
 			}
-			if got, want := o.Related(a), ref.Related(a); !reflect.DeepEqual(got, want) {
+			if got, want := o.related(a), ref.Related(a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Related(%s) = %v, want %v", a, got, want)
 			}
 			for _, b := range probe {
 				if got, want := o.Subsumes(a, b), ref.Subsumes(a, b); got != want {
 					t.Fatalf("Subsumes(%s, %s) = %v, want %v", a, b, got, want)
 				}
-				if got, want := o.LCS(a, b), ref.LCS(a, b); got != want {
+				if got, want := o.lcs(a, b), ref.LCS(a, b); got != want {
 					t.Fatalf("LCS(%s, %s) = %s, want %s", a, b, got, want)
 				}
-				if got, want := o.Similarity(a, b), ref.Similarity(a, b); got != want {
+				if got, want := o.similarity(a, b), ref.Similarity(a, b); got != want {
 					t.Fatalf("Similarity(%s, %s) = %v, want %v", a, b, got, want)
 				}
 			}
@@ -268,22 +268,25 @@ func TestClassIDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIDQueriesMatchStringQueries checks every ID query on the sensor
+// taxonomy against the string-keyed reference answers.
 func TestIDQueriesMatchStringQueries(t *testing.T) {
 	o := sensorTaxonomy(t)
 	classes := o.Classes()
+	ref := newReference(o, slices.DeleteFunc(slices.Clone(classes), func(x Class) bool { return x == Thing }))
 	for _, a := range classes {
 		for _, b := range classes {
 			ida, idb := o.ClassID(a), o.ClassID(b)
-			if got, want := o.SubsumesID(ida, idb), o.Subsumes(a, b); got != want {
+			if got, want := o.SubsumesID(ida, idb), ref.Subsumes(a, b); got != want {
 				t.Fatalf("SubsumesID(%s, %s) = %v, want %v", a, b, got, want)
 			}
-			if got, want := o.ClassByID(o.LCSID(ida, idb)), o.LCS(a, b); got != want {
+			if got, want := o.ClassByID(o.LCSID(ida, idb)), ref.LCS(a, b); got != want {
 				t.Fatalf("LCSID(%s, %s) = %s, want %s", a, b, got, want)
 			}
-			if got, want := o.SimilarityID(ida, idb), o.Similarity(a, b); got != want {
+			if got, want := o.SimilarityID(ida, idb), ref.Similarity(a, b); got != want {
 				t.Fatalf("SimilarityID(%s, %s) = %v, want %v", a, b, got, want)
 			}
-			if got, want := o.DepthID(ida), o.Depth(a); got != want {
+			if got, want := o.DepthID(ida), ref.Depth(a); got != want {
 				t.Fatalf("DepthID(%s) = %d, want %d", a, got, want)
 			}
 		}
@@ -318,12 +321,12 @@ func TestCompiledConcurrentReads(t *testing.T) {
 				a := classes[(i+g)%len(classes)]
 				b := classes[(i*7+g)%len(classes)]
 				o.Subsumes(a, b)
-				o.LCS(a, b)
-				o.Similarity(a, b)
+				o.lcs(a, b)
+				o.similarity(a, b)
 				o.SubsumesID(o.ClassID(a), o.ClassID(b))
-				o.Ancestors(a)
-				o.Descendants(b)
-				o.Related(a)
+				o.ancestors(a)
+				o.descendants(b)
+				o.related(a)
 			}
 		}(g)
 	}

@@ -35,12 +35,12 @@ func TestDepthWithDisconnectedCycles(t *testing.T) {
 			if !o.Subsumes(p, ci) {
 				t.Errorf("parent %s !subsume child %s", p, ci)
 			}
-			if o.Depth(ci) > o.Depth(p)+1 && o.Depth(p) >= 0 && !o.Subsumes(ci, p) {
-				t.Errorf("depth(%s)=%d > depth(%s)=%d+1 not cycle", ci, o.Depth(ci), p, o.Depth(p))
+			if o.depth(ci) > o.depth(p)+1 && o.depth(p) >= 0 && !o.Subsumes(ci, p) {
+				t.Errorf("depth(%s)=%d > depth(%s)=%d+1 not cycle", ci, o.depth(ci), p, o.depth(p))
 			}
 		}
-		for _, a := range o.Ancestors(ci) {
-			for _, aa := range o.Ancestors(a) {
+		for _, a := range o.ancestors(ci) {
+			for _, aa := range o.ancestors(a) {
 				if !o.Subsumes(aa, ci) {
 					t.Errorf("transitivity: %s anc-of %s anc-of %s but !subsume", aa, a, ci)
 				}

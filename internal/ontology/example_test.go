@@ -35,7 +35,8 @@ func ExampleFromTurtle() {
 		panic(err)
 	}
 	fmt.Println(o.Subsumes("http://example.org/onto#Sensor", "http://example.org/onto#CoastalRadar"))
-	fmt.Printf("%.2f\n", o.Similarity("http://example.org/onto#Radar", "http://example.org/onto#CoastalRadar"))
+	radar, coastal := o.ClassID("http://example.org/onto#Radar"), o.ClassID("http://example.org/onto#CoastalRadar")
+	fmt.Printf("%.2f\n", o.SimilarityID(radar, coastal))
 	// Output:
 	// true
 	// 0.80

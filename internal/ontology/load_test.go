@@ -32,16 +32,16 @@ func TestFromTurtle(t *testing.T) {
 	if !o.Subsumes(c("Radar"), c("RadarStation")) || !o.Subsumes(c("RadarStation"), c("Radar")) {
 		t.Fatal("owl:equivalentClass not honored")
 	}
-	if o.Label(c("Sensor")) != "sensor" {
-		t.Fatalf("label = %q", o.Label(c("Sensor")))
+	if !declares(o, ns+"Sensor", rdf.RDFSLabel, rdf.Literal("sensor")) {
+		t.Fatal("label not loaded")
 	}
-	if !o.SubPropertyOf(Property(ns+"detects"), Property(ns+"observes")) {
+	if !declares(o, ns+"detects", rdf.RDFSSubPropOf, rdf.IRI(ns+"observes")) {
 		t.Fatal("subPropertyOf not loaded")
 	}
-	if o.PropertyDomain(Property(ns+"detects")) != c("Sensor") {
+	if !declares(o, ns+"detects", rdf.RDFSDomain, rdf.IRI(ns+"Sensor")) {
 		t.Fatal("property domain not loaded")
 	}
-	if o.PropertyRange(Property(ns+"detects")) != c("Device") {
+	if !declares(o, ns+"detects", rdf.RDFSRange, rdf.IRI(ns+"Device")) {
 		t.Fatal("property range not loaded")
 	}
 }
@@ -82,10 +82,10 @@ func TestToGraphRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if back.Label(c("Sensor")) != "sensor" {
+	if !declares(back, ns+"Sensor", rdf.RDFSLabel, rdf.Literal("sensor")) {
 		t.Fatal("label lost in round trip")
 	}
-	if !back.SubPropertyOf(Property(ns+"detects"), Property(ns+"observes")) {
+	if !declares(back, ns+"detects", rdf.RDFSSubPropOf, rdf.IRI(ns+"observes")) {
 		t.Fatal("property hierarchy lost in round trip")
 	}
 }

@@ -4,11 +4,12 @@
 // semantic service descriptions, and thereby precise selection of
 // relevant services").
 //
-// It models a class taxonomy with multiple inheritance and typed
-// properties, and precomputes the subsumption closure so matchmaking
-// queries ("is a Radar a kind of Sensor?") answer in O(1). It also
+// It models a class taxonomy with multiple inheritance, and compiles
+// the subsumption closure at Freeze so matchmaking queries ("is a Radar
+// a kind of Sensor?") answer in O(1) over interned class IDs. It also
 // provides taxonomy-distance similarity (Wu–Palmer), used by the
-// matchmaker to rank services within the same match degree.
+// matchmaker to rank services within the same match degree. Property
+// declarations are kept only to be written back by ToGraph.
 package ontology
 
 import (
@@ -46,17 +47,15 @@ type Ontology struct {
 }
 
 type classInfo struct {
-	parents  []Class
-	children []Class
-	label    string
+	parents []Class
+	label   string
 }
 
+// propInfo is a property declaration as loaded; ToGraph writes it back.
 type propInfo struct {
 	parents []Property
 	domain  Class
 	rang    Class
-	label   string
-	supers  map[Property]struct{} // reflexive-transitive
 }
 
 // New returns an empty ontology containing only Thing.
@@ -143,7 +142,7 @@ func (o *Ontology) AddProperty(p Property, domain, rang Class, parents ...Proper
 }
 
 // Freeze resolves forward references, links every root to Thing,
-// computes the reflexive-transitive subsumption closure and class
+// compiles the reflexive-transitive subsumption closure and class
 // depths, and makes the ontology immutable. Freeze is idempotent.
 // Undeclared parent classes are implicitly declared as direct children
 // of Thing, matching how RDFS treats unknown terms.
@@ -151,22 +150,12 @@ func (o *Ontology) Freeze() {
 	if o.frozen {
 		return
 	}
-	// Implicitly declare referenced-but-undeclared parents.
-	for {
-		var missing []Class
-		for _, ci := range o.classes {
-			for _, p := range ci.parents {
-				if _, ok := o.classes[p]; !ok {
-					missing = append(missing, p)
-				}
-			}
-		}
-		if len(missing) == 0 {
-			break
-		}
-		for _, m := range missing {
-			if _, ok := o.classes[m]; !ok {
-				o.classes[m] = &classInfo{}
+	// Implicitly declare referenced-but-undeclared parents (they have no
+	// parents of their own, so one pass declares them all).
+	for _, ci := range o.classes {
+		for _, p := range ci.parents {
+			if o.classes[p] == nil {
+				o.classes[p] = &classInfo{}
 			}
 		}
 	}
@@ -177,40 +166,8 @@ func (o *Ontology) Freeze() {
 		}
 		ci.parents = dedupClasses(ci.parents)
 	}
-	// Children lists (deterministic order).
-	for c, ci := range o.classes {
-		for _, p := range ci.parents {
-			o.classes[p].children = append(o.classes[p].children, c)
-		}
-		_ = ci
-	}
-	for _, ci := range o.classes {
-		sort.Slice(ci.children, func(i, j int) bool { return ci.children[i] < ci.children[j] })
-	}
-	// Ancestor and descendant closures and depths, interned.
+	// Ancestor closures and depths, interned.
 	o.compile()
-	// Property superproperty closure and implicit declarations.
-	for {
-		var missing []Property
-		for _, pi := range o.props {
-			for _, par := range pi.parents {
-				if _, ok := o.props[par]; !ok {
-					missing = append(missing, par)
-				}
-			}
-		}
-		if len(missing) == 0 {
-			break
-		}
-		for _, m := range missing {
-			if _, ok := o.props[m]; !ok {
-				o.props[m] = &propInfo{}
-			}
-		}
-	}
-	for p := range o.props {
-		o.propClosure(p, make(map[Property]bool))
-	}
 	o.frozen = true
 }
 
@@ -227,26 +184,6 @@ func dedupClasses(cs []Class) []Class {
 	return out
 }
 
-func (o *Ontology) propClosure(p Property, visiting map[Property]bool) map[Property]struct{} {
-	pi := o.props[p]
-	if pi.supers != nil {
-		return pi.supers
-	}
-	if visiting[p] {
-		return map[Property]struct{}{p: {}}
-	}
-	visiting[p] = true
-	sup := map[Property]struct{}{p: {}}
-	for _, par := range pi.parents {
-		for a := range o.propClosure(par, visiting) {
-			sup[a] = struct{}{}
-		}
-	}
-	delete(visiting, p)
-	pi.supers = sup
-	return sup
-}
-
 func (o *Ontology) mustFrozen() {
 	if !o.frozen {
 		panic("ontology: query before Freeze")
@@ -256,12 +193,6 @@ func (o *Ontology) mustFrozen() {
 // HasClass reports whether c is declared.
 func (o *Ontology) HasClass(c Class) bool {
 	_, ok := o.classes[c]
-	return ok
-}
-
-// HasProperty reports whether p is declared.
-func (o *Ontology) HasProperty(p Property) bool {
-	_, ok := o.props[p]
 	return ok
 }
 
@@ -278,17 +209,6 @@ func (o *Ontology) Subsumes(super, sub Class) bool {
 	return o.SubsumesID(o.ClassID(super), o.ClassID(sub))
 }
 
-// Ancestors returns the reflexive-transitive superclasses of c in
-// deterministic order. Unknown classes yield nil.
-func (o *Ontology) Ancestors(c Class) []Class {
-	o.mustFrozen()
-	id, ok := o.c.ids[c]
-	if !ok {
-		return nil
-	}
-	return o.c.rowClasses(o.c.anc, id)
-}
-
 // Parents returns the direct superclasses of c.
 func (o *Ontology) Parents(c Class) []Class {
 	ci, ok := o.classes[c]
@@ -296,83 +216,6 @@ func (o *Ontology) Parents(c Class) []Class {
 		return nil
 	}
 	return append([]Class(nil), ci.parents...)
-}
-
-// Children returns the direct subclasses of c in deterministic order.
-func (o *Ontology) Children(c Class) []Class {
-	o.mustFrozen()
-	ci, ok := o.classes[c]
-	if !ok {
-		return nil
-	}
-	return append([]Class(nil), ci.children...)
-}
-
-// Descendants returns all classes subsumed by c (including c itself).
-func (o *Ontology) Descendants(c Class) []Class {
-	o.mustFrozen()
-	id, ok := o.c.ids[c]
-	if !ok {
-		return nil
-	}
-	return o.c.rowClasses(o.c.desc, id)
-}
-
-// Depth returns the shortest superclass-path length from Thing to c;
-// Thing has depth 0. Unknown classes return -1.
-func (o *Ontology) Depth(c Class) int {
-	return o.DepthID(o.ClassID(c))
-}
-
-// Label returns the class label, or the IRI local name when unset.
-func (o *Ontology) Label(c Class) string {
-	if ci, ok := o.classes[c]; ok && ci.label != "" {
-		return ci.label
-	}
-	return localName(string(c))
-}
-
-// LCS returns the deepest common subsumer of a and b (an ancestor of
-// both with maximal depth), preferring the lexically smallest on ties.
-// Returns Thing when either class is unknown.
-func (o *Ontology) LCS(a, b Class) Class {
-	return o.ClassByID(o.LCSID(o.ClassID(a), o.ClassID(b)))
-}
-
-// Similarity returns the Wu–Palmer similarity of two classes:
-// 2·depth(lcs) / (depth(a)+depth(b)), in [0, 1]. Identical classes have
-// similarity 1; classes related only through Thing have similarity 0.
-// Unknown classes have similarity 0 to everything, including themselves.
-func (o *Ontology) Similarity(a, b Class) float64 {
-	return o.SimilarityID(o.ClassID(a), o.ClassID(b))
-}
-
-// SubPropertyOf reports whether sub ⊑ super in the property hierarchy
-// (reflexive).
-func (o *Ontology) SubPropertyOf(sub, super Property) bool {
-	o.mustFrozen()
-	pi, ok := o.props[sub]
-	if !ok {
-		return sub == super
-	}
-	_, ok = pi.supers[super]
-	return ok
-}
-
-// PropertyDomain returns the declared domain class ("" if unconstrained).
-func (o *Ontology) PropertyDomain(p Property) Class {
-	if pi, ok := o.props[p]; ok {
-		return pi.domain
-	}
-	return ""
-}
-
-// PropertyRange returns the declared range class ("" if unconstrained).
-func (o *Ontology) PropertyRange(p Property) Class {
-	if pi, ok := o.props[p]; ok {
-		return pi.rang
-	}
-	return ""
 }
 
 // Classes returns all declared classes in deterministic order.
@@ -397,12 +240,3 @@ func (o *Ontology) Properties() []Property {
 
 // NumClasses returns the number of declared classes (including Thing).
 func (o *Ontology) NumClasses() int { return len(o.classes) }
-
-func localName(iri string) string {
-	for i := len(iri) - 1; i >= 0; i-- {
-		if iri[i] == '#' || iri[i] == '/' {
-			return iri[i+1:]
-		}
-	}
-	return iri
-}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"semdisco/internal/rdf"
 )
 
 const ns = "http://semdisco.example/onto#"
@@ -114,14 +116,14 @@ func TestDepths(t *testing.T) {
 	o := sensorTaxonomy(t)
 	want := map[string]int{"Device": 1, "Sensor": 2, "Radar": 3, "CoastalRadar": 4}
 	for name, d := range want {
-		if got := o.Depth(c(name)); got != d {
+		if got := o.depth(c(name)); got != d {
 			t.Errorf("Depth(%s) = %d, want %d", name, got, d)
 		}
 	}
-	if o.Depth(Thing) != 0 {
-		t.Errorf("Depth(Thing) = %d, want 0", o.Depth(Thing))
+	if o.depth(Thing) != 0 {
+		t.Errorf("Depth(Thing) = %d, want 0", o.depth(Thing))
 	}
-	if o.Depth(Class("http://unknown/X")) != -1 {
+	if o.depth(Class("http://unknown/X")) != -1 {
 		t.Error("unknown class depth must be -1")
 	}
 }
@@ -132,7 +134,7 @@ func TestMultipleInheritanceDepthIsShortestPath(t *testing.T) {
 	o.AddClass(c("B"), c("A"))         // depth 2
 	o.AddClass(c("C"), c("B"), c("A")) // paths of length 2 and 3 → depth 2
 	o.Freeze()
-	if got := o.Depth(c("C")); got != 2 {
+	if got := o.depth(c("C")); got != 2 {
 		t.Fatalf("Depth(C) = %d, want 2 (shortest path)", got)
 	}
 }
@@ -149,31 +151,31 @@ func TestLCS(t *testing.T) {
 		{"Radar", "Sensor", "Sensor"},
 	}
 	for _, cs := range cases {
-		if got := o.LCS(c(cs.a), c(cs.b)); got != c(cs.want) {
+		if got := o.lcs(c(cs.a), c(cs.b)); got != c(cs.want) {
 			t.Errorf("LCS(%s, %s) = %s, want %s", cs.a, cs.b, got, cs.want)
 		}
 	}
-	if got := o.LCS(c("Radar"), Class("http://unknown/X")); got != Thing {
+	if got := o.lcs(c("Radar"), Class("http://unknown/X")); got != Thing {
 		t.Errorf("LCS with unknown = %s, want Thing", got)
 	}
 }
 
 func TestSimilarity(t *testing.T) {
 	o := sensorTaxonomy(t)
-	if s := o.Similarity(c("Radar"), c("Radar")); s != 1 {
+	if s := o.similarity(c("Radar"), c("Radar")); s != 1 {
 		t.Errorf("self similarity = %v, want 1", s)
 	}
 	// Radar(3) and Camera(3) share Sensor(2): 2·2/(3+3) = 0.666…
-	if s := o.Similarity(c("Radar"), c("Camera")); math.Abs(s-2.0/3.0) > 1e-9 {
+	if s := o.similarity(c("Radar"), c("Camera")); math.Abs(s-2.0/3.0) > 1e-9 {
 		t.Errorf("Similarity(Radar, Camera) = %v, want 2/3", s)
 	}
 	// Sibling at a deeper level is more similar than a cousin.
-	deep := o.Similarity(c("CoastalRadar"), c("Radar"))
-	shallow := o.Similarity(c("CoastalRadar"), c("Actuator"))
+	deep := o.similarity(c("CoastalRadar"), c("Radar"))
+	shallow := o.similarity(c("CoastalRadar"), c("Actuator"))
 	if deep <= shallow {
 		t.Errorf("similarity ordering wrong: parent %v <= distant %v", deep, shallow)
 	}
-	if s := o.Similarity(c("Radar"), Class("http://unknown/X")); s != 0 {
+	if s := o.similarity(c("Radar"), Class("http://unknown/X")); s != 0 {
 		t.Errorf("similarity to unknown = %v, want 0", s)
 	}
 }
@@ -184,7 +186,7 @@ func TestSimilarityProperties(t *testing.T) {
 	// Symmetry and range [0,1] over all pairs.
 	for _, a := range classes {
 		for _, b := range classes {
-			s1, s2 := o.Similarity(a, b), o.Similarity(b, a)
+			s1, s2 := o.similarity(a, b), o.similarity(b, a)
 			if s1 != s2 {
 				t.Fatalf("Similarity(%s,%s)=%v asymmetric vs %v", a, b, s1, s2)
 			}
@@ -197,7 +199,7 @@ func TestSimilarityProperties(t *testing.T) {
 
 func TestAncestorsAndDescendants(t *testing.T) {
 	o := sensorTaxonomy(t)
-	anc := o.Ancestors(c("Radar"))
+	anc := o.ancestors(c("Radar"))
 	wantAnc := map[Class]bool{c("Radar"): true, c("Sensor"): true, c("Device"): true, Thing: true}
 	if len(anc) != len(wantAnc) {
 		t.Fatalf("Ancestors(Radar) = %v", anc)
@@ -207,11 +209,11 @@ func TestAncestorsAndDescendants(t *testing.T) {
 			t.Fatalf("unexpected ancestor %s", a)
 		}
 	}
-	desc := o.Descendants(c("Sensor")) // Sensor, Radar, CoastalRadar, Camera, InfraredCamera
+	desc := o.descendants(c("Sensor")) // Sensor, Radar, CoastalRadar, Camera, InfraredCamera
 	if len(desc) != 5 {
 		t.Fatalf("Descendants(Sensor) = %v, want 5 classes", desc)
 	}
-	if ds := o.Descendants(Class("http://unknown/X")); ds != nil {
+	if ds := o.descendants(Class("http://unknown/X")); ds != nil {
 		t.Fatalf("Descendants(unknown) = %v, want nil", ds)
 	}
 }
@@ -221,7 +223,7 @@ func TestSubsumptionConsistentWithDescendants(t *testing.T) {
 	o := sensorTaxonomy(t)
 	for _, a := range o.Classes() {
 		inDesc := make(map[Class]bool)
-		for _, d := range o.Descendants(a) {
+		for _, d := range o.descendants(a) {
 			inDesc[d] = true
 		}
 		for _, b := range o.Classes() {
@@ -242,26 +244,27 @@ func TestCycleCollapses(t *testing.T) {
 	}
 }
 
+// TestSubPropertyOf: a declared property keeps its superproperty,
+// domain and range, and its RDF form says so; a property declared with
+// none of them has no RDF form.
 func TestSubPropertyOf(t *testing.T) {
 	o := sensorTaxonomy(t)
-	det, obs := Property(ns+"detects"), Property(ns+"observes")
-	if !o.SubPropertyOf(det, obs) {
-		t.Fatal("detects ⊑ observes expected")
+	det := ns + "detects"
+	if !declares(o, det, rdf.RDFSSubPropOf, rdf.IRI(ns+"observes")) {
+		t.Fatal("detects ⊑ observes lost")
 	}
-	if !o.SubPropertyOf(det, det) {
-		t.Fatal("SubPropertyOf must be reflexive")
-	}
-	if o.SubPropertyOf(obs, det) {
-		t.Fatal("observes ⊑ detects must be false")
-	}
-	if o.PropertyDomain(det) != c("Sensor") || o.PropertyRange(det) != c("Device") {
+	if !declares(o, det, rdf.RDFSDomain, rdf.IRI(string(c("Sensor")))) || !declares(o, det, rdf.RDFSRange, rdf.IRI(string(c("Device")))) {
 		t.Fatal("domain/range lost")
+	}
+	if got := o.ToGraph().Match(rdf.IRI(ns+"observes"), rdf.Wildcard, rdf.Wildcard); len(got) != 0 {
+		t.Fatalf("observes has RDF form %v, want none", got)
 	}
 }
 
 func TestLabels(t *testing.T) {
 	o := New(ns)
 	o.AddClass(c("Radar"))
+	o.AddClass(c("Camera"))
 	if err := o.SetLabel(c("Radar"), "radar station"); err != nil {
 		t.Fatal(err)
 	}
@@ -269,20 +272,20 @@ func TestLabels(t *testing.T) {
 		t.Fatal("SetLabel on unknown class succeeded")
 	}
 	o.Freeze()
-	if got := o.Label(c("Radar")); got != "radar station" {
-		t.Fatalf("Label = %q", got)
+	if !declares(o, string(c("Radar")), rdf.RDFSLabel, rdf.Literal("radar station")) {
+		t.Fatal("label lost")
 	}
-	if got := o.Label(c("Camera")); got != "Camera" {
-		t.Fatalf("fallback label = %q, want local name", got)
+	if got := o.ToGraph().Match(rdf.IRI(string(c("Camera"))), rdf.IRI(rdf.RDFSLabel), rdf.Wildcard); len(got) != 0 {
+		t.Fatalf("unlabelled class has label %v", got)
 	}
 }
 
 func TestDeterministicEnumeration(t *testing.T) {
 	o := sensorTaxonomy(t)
-	first := fmt.Sprint(o.Classes(), o.Properties(), o.Children(c("Device")))
+	first := fmt.Sprint(o.Classes(), o.Properties(), o.Parents(c("Radar")))
 	for i := 0; i < 5; i++ {
 		o2 := sensorTaxonomy(t)
-		if got := fmt.Sprint(o2.Classes(), o2.Properties(), o2.Children(c("Device"))); got != first {
+		if got := fmt.Sprint(o2.Classes(), o2.Properties(), o2.Parents(c("Radar"))); got != first {
 			t.Fatal("enumeration order not deterministic across builds")
 		}
 	}
@@ -316,13 +319,13 @@ func TestRandomTaxonomyInvariants(t *testing.T) {
 				// Depth is computed on the SCC condensation, so child
 				// depth never exceeds any parent's depth by more than 1
 				// (cycle members share one depth).
-				if o.Depth(ci) > o.Depth(p)+1 {
+				if o.depth(ci) > o.depth(p)+1 {
 					return false
 				}
 			}
 			// transitivity via ancestors-of-ancestors
-			for _, a := range o.Ancestors(ci) {
-				for _, aa := range o.Ancestors(a) {
+			for _, a := range o.ancestors(ci) {
+				for _, aa := range o.ancestors(a) {
 					if !o.Subsumes(aa, ci) {
 						return false
 					}

@@ -71,11 +71,6 @@ func (c Circle) Contains(latDeg, lonDeg float64) bool {
 	return c.distKm(latDeg, lonDeg) <= c.RadiusKm
 }
 
-// Overlaps reports whether two circles intersect.
-func (c Circle) Overlaps(o Circle) bool {
-	return c.distKm(o.LatDeg, o.LonDeg) <= c.RadiusKm+o.RadiusKm
-}
-
 func (c Circle) distKm(latDeg, lonDeg float64) float64 {
 	const kmPerDegLat = 111.32
 	dLat := (latDeg - c.LatDeg) * kmPerDegLat

@@ -35,15 +35,6 @@ func ParseTurtle(src string) (*Graph, error) {
 	return g, nil
 }
 
-// MustParseTurtle parses compile-time-known documents; panics on error.
-func MustParseTurtle(src string) *Graph {
-	g, err := ParseTurtle(src)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 type turtleParser struct {
 	src      string
 	pos      int

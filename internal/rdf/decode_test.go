@@ -15,16 +15,16 @@ _:b0 <http://example.org/name> "anonymous"@en .
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() != 4 {
-		t.Fatalf("parsed %d triples, want 4", g.Len())
+	if size(g) != 4 {
+		t.Fatalf("parsed %d triples, want 4", size(g))
 	}
-	if !g.Has(Triple{alice, knows, bob}) {
+	if !has(g, Triple{alice, knows, bob}) {
 		t.Fatal("missing alice-knows-bob")
 	}
-	if !g.Has(Triple{Blank("b0"), name, LangLiteral("anonymous", "en")}) {
+	if !has(g, Triple{Blank("b0"), name, LangLiteral("anonymous", "en")}) {
 		t.Fatal("missing blank-node lang literal")
 	}
-	if !g.Has(Triple{alice, IRI(ex + "age"), IntLiteral(30)}) {
+	if !has(g, Triple{alice, IRI(ex + "age"), intLiteral(30)}) {
 		t.Fatal("missing typed literal")
 	}
 }
@@ -44,17 +44,17 @@ ex:alice ex:knows ex:bob . # trailing comment
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Has(Triple{radar, IRI(RDFType), IRI(ex + "Class")}) {
+	if !has(g, Triple{radar, IRI(RDFType), IRI(ex + "Class")}) {
 		t.Fatal("'a' keyword not expanded to rdf:type")
 	}
-	if !g.Has(Triple{radar, IRI(RDFSSubClassOf), sensor}) ||
-		!g.Has(Triple{radar, IRI(RDFSSubClassOf), IRI(ex + "Device")}) {
+	if !has(g, Triple{radar, IRI(RDFSSubClassOf), sensor}) ||
+		!has(g, Triple{radar, IRI(RDFSSubClassOf), IRI(ex + "Device")}) {
 		t.Fatal("object list not parsed")
 	}
-	if !g.Has(Triple{radar, IRI(RDFSLabel), Literal("radar station")}) {
+	if !has(g, Triple{radar, IRI(RDFSLabel), Literal("radar station")}) {
 		t.Fatal("predicate list not parsed")
 	}
-	if !g.Has(Triple{alice, knows, bob}) {
+	if !has(g, Triple{alice, knows, bob}) {
 		t.Fatal("statement after comment not parsed")
 	}
 }
@@ -86,7 +86,7 @@ ex:s ex:int 42 ;
 		{"no", BoolLiteral(false)},
 	}
 	for _, c := range checks {
-		if !g.Has(Triple{s, IRI(ex + c.p), c.want}) {
+		if !has(g, Triple{s, IRI(ex + c.p), c.want}) {
 			t.Errorf("missing ex:%s %v; graph:\n%s", c.p, c.want, EncodeNTriples(g))
 		}
 	}
@@ -97,7 +97,7 @@ func TestParseTurtleIntegerBeforeDot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Has(Triple{IRI(ex + "s"), IRI(ex + "p"), IntLiteral(42)}) {
+	if !has(g, Triple{IRI(ex + "s"), IRI(ex + "p"), intLiteral(42)}) {
 		t.Fatal("integer directly before '.' misparsed")
 	}
 }
@@ -108,7 +108,7 @@ func TestParseTurtleEscapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Literal("line1\nline2\t\"q\" \\ é")
-	if !g.Has(Triple{IRI("http://e/s"), IRI("http://e/p"), want}) {
+	if !has(g, Triple{IRI("http://e/s"), IRI("http://e/p"), want}) {
 		t.Fatalf("escape decoding wrong; got %s", EncodeNTriples(g))
 	}
 }
@@ -120,7 +120,7 @@ ex:alice ex:knows ex:bob .`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Has(Triple{alice, knows, bob}) {
+	if !has(g, Triple{alice, knows, bob}) {
 		t.Fatal("SPARQL-style PREFIX not honored")
 	}
 }
@@ -132,7 +132,7 @@ func TestParseTurtleBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Has(Triple{alice, knows, bob}) {
+	if !has(g, Triple{alice, knows, bob}) {
 		t.Fatalf("@base resolution failed:\n%s", EncodeNTriples(g))
 	}
 }
@@ -174,7 +174,7 @@ func TestRoundTripNTriples(t *testing.T) {
 	g := NewGraph()
 	g.MustAdd(Triple{alice, knows, bob})
 	g.MustAdd(Triple{alice, name, LangLiteral("Alice \"A\"", "en")})
-	g.MustAdd(Triple{Blank("x"), name, IntLiteral(-3)})
+	g.MustAdd(Triple{Blank("x"), name, intLiteral(-3)})
 	enc := EncodeNTriples(g)
 	back, err := ParseTurtle(enc)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestRoundTripTurtle(t *testing.T) {
 	g.MustAdd(Triple{radar, IRI(RDFType), IRI(OWLClass)})
 	g.MustAdd(Triple{radar, IRI(RDFSSubClassOf), sensor})
 	g.MustAdd(Triple{radar, IRI(RDFSLabel), Literal("radar")})
-	g.MustAdd(Triple{radar, IRI(ex + "range"), IntLiteral(120)})
+	g.MustAdd(Triple{radar, IRI(ex + "range"), intLiteral(120)})
 	ttl := EncodeTurtle(g, map[string]string{
 		"ex":   ex,
 		"rdfs": "http://www.w3.org/2000/01/rdf-schema#",
@@ -222,15 +222,15 @@ ex:svc ex:empty [] .
 		t.Fatal(err)
 	}
 	// One blank node carries the category and accuracy.
-	profiles := g.Objects(IRI(ex+"svc"), IRI(ex+"profile"))
+	profiles := objects(g, IRI(ex+"svc"), IRI(ex+"profile"))
 	if len(profiles) != 1 || !profiles[0].IsBlank() {
 		t.Fatalf("profile objects = %v", profiles)
 	}
 	bn := profiles[0]
-	if !g.Has(Triple{bn, IRI(ex + "category"), IRI(ex + "Radar")}) {
+	if !has(g, Triple{bn, IRI(ex + "category"), IRI(ex + "Radar")}) {
 		t.Fatal("blank node property list lost its triples")
 	}
-	empties := g.Objects(IRI(ex+"svc"), IRI(ex+"empty"))
+	empties := objects(g, IRI(ex+"svc"), IRI(ex+"empty"))
 	if len(empties) != 1 || !empties[0].IsBlank() || empties[0] == bn {
 		t.Fatalf("empty [] = %v (must be a fresh blank node)", empties)
 	}
@@ -244,11 +244,11 @@ func TestParseAnonymousBlankAsSubject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs := g.Subjects(IRI(ex+"category"), IRI(ex+"Radar"))
+	subs := subjects(g, IRI(ex+"category"), IRI(ex+"Radar"))
 	if len(subs) != 1 || !subs[0].IsBlank() {
 		t.Fatalf("subjects = %v", subs)
 	}
-	if !g.Has(Triple{subs[0], IRI(ex + "name"), Literal("anon service")}) {
+	if !has(g, Triple{subs[0], IRI(ex + "name"), Literal("anon service")}) {
 		t.Fatal("subject blank node property lost")
 	}
 }
@@ -262,7 +262,7 @@ ex:svc ex:inputs ( ex:A ex:B ex:C ) ;
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads := g.Objects(IRI(ex+"svc"), IRI(ex+"inputs"))
+	heads := objects(g, IRI(ex+"svc"), IRI(ex+"inputs"))
 	if len(heads) != 1 {
 		t.Fatalf("inputs = %v", heads)
 	}
@@ -270,12 +270,12 @@ ex:svc ex:inputs ( ex:A ex:B ex:C ) ;
 	var items []Term
 	cur := heads[0]
 	for cur != IRI(RDFNil) {
-		first, ok := g.FirstObject(cur, IRI(RDFFirst))
+		first, ok := firstObject(g, cur, IRI(RDFFirst))
 		if !ok {
 			t.Fatalf("list node %v missing rdf:first", cur)
 		}
 		items = append(items, first)
-		rest, ok := g.FirstObject(cur, IRI(RDFRest))
+		rest, ok := firstObject(g, cur, IRI(RDFRest))
 		if !ok {
 			t.Fatalf("list node %v missing rdf:rest", cur)
 		}
@@ -285,7 +285,7 @@ ex:svc ex:inputs ( ex:A ex:B ex:C ) ;
 		t.Fatalf("list items = %v", items)
 	}
 	// Empty collection is rdf:nil directly.
-	none := g.Objects(IRI(ex+"svc"), IRI(ex+"none"))
+	none := objects(g, IRI(ex+"svc"), IRI(ex+"none"))
 	if len(none) != 1 || none[0] != IRI(RDFNil) {
 		t.Fatalf("empty collection = %v", none)
 	}
@@ -302,10 +302,10 @@ line "quoted" two\ttabbed""" ;
 		t.Fatal(err)
 	}
 	want := Literal("line one\nline \"quoted\" two\ttabbed")
-	if !g.Has(Triple{IRI(ex + "svc"), IRI(ex + "doc"), want}) {
+	if !has(g, Triple{IRI(ex + "svc"), IRI(ex + "doc"), want}) {
 		t.Fatalf("long literal mangled:\n%s", EncodeNTriples(g))
 	}
-	if !g.Has(Triple{IRI(ex + "svc"), IRI(ex + "tagged"), LangLiteral("hei", "no")}) {
+	if !has(g, Triple{IRI(ex + "svc"), IRI(ex + "tagged"), LangLiteral("hei", "no")}) {
 		t.Fatal("long literal language tag lost")
 	}
 }
@@ -326,15 +326,15 @@ ex:RadarService profile:presents [
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() < 8 {
-		t.Fatalf("OWL-S-style doc produced only %d triples:\n%s", g.Len(), EncodeNTriples(g))
+	if size(g) < 8 {
+		t.Fatalf("OWL-S-style doc produced only %d triples:\n%s", size(g), EncodeNTriples(g))
 	}
 	// Round trip through canonical N-Triples.
 	back, err := ParseTurtle(EncodeNTriples(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != g.Len() {
+	if size(back) != size(g) {
 		t.Fatal("round trip changed triple count")
 	}
 }

@@ -32,28 +32,3 @@ func FuzzParseTurtle(f *testing.F) {
 		}
 	})
 }
-
-// FuzzInference checks RDFS forward chaining terminates and stays sound
-// (never invents literal subjects) on arbitrary accepted graphs.
-func FuzzInference(f *testing.F) {
-	f.Add(`@prefix r: <http://www.w3.org/2000/01/rdf-schema#> .
-<http://a> r:subClassOf <http://b> . <http://b> r:subClassOf <http://a> .`)
-	f.Add(`@prefix r: <http://www.w3.org/2000/01/rdf-schema#> .
-<http://p> r:domain <http://C> . <http://x> <http://p> "lit" .`)
-	f.Fuzz(func(t *testing.T, src string) {
-		g, err := ParseTurtle(src)
-		if err != nil || g.Len() > 200 {
-			return
-		}
-		InferRDFS(g)
-		for _, tr := range g.Triples() {
-			if !tr.Valid() {
-				t.Fatalf("inference produced invalid triple %v", tr)
-			}
-		}
-		// Fixpoint: a second run adds nothing.
-		if n := InferRDFS(g); n != 0 {
-			t.Fatalf("second inference pass added %d triples", n)
-		}
-	})
-}

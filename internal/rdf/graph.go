@@ -2,76 +2,21 @@ package rdf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
-// Graph is an in-memory triple store indexed on all three positions
-// (SPO, POS, OSP), so every single- and two-constant lookup pattern is
-// answered from an index rather than a scan. Graph is not safe for
-// concurrent mutation; the registry wraps shared graphs in its own lock.
+// Graph is an in-memory set of triples. Ontology and profile documents
+// are small and read a few times per load, so lookups are filtered
+// scans over the one set. Graph is not safe for concurrent mutation.
 type Graph struct {
-	spo index
-	pos index
-	osp index
-	n   int
-}
-
-// index maps first-key → second-key → set of third keys.
-type index map[Term]map[Term]termSet
-
-type termSet map[Term]struct{}
-
-func (ix index) add(a, b, c Term) bool {
-	m, ok := ix[a]
-	if !ok {
-		m = make(map[Term]termSet)
-		ix[a] = m
-	}
-	s, ok := m[b]
-	if !ok {
-		s = make(termSet)
-		m[b] = s
-	}
-	if _, dup := s[c]; dup {
-		return false
-	}
-	s[c] = struct{}{}
-	return true
-}
-
-func (ix index) remove(a, b, c Term) bool {
-	m, ok := ix[a]
-	if !ok {
-		return false
-	}
-	s, ok := m[b]
-	if !ok {
-		return false
-	}
-	if _, present := s[c]; !present {
-		return false
-	}
-	delete(s, c)
-	if len(s) == 0 {
-		delete(m, b)
-		if len(m) == 0 {
-			delete(ix, a)
-		}
-	}
-	return true
+	set map[Triple]struct{}
 }
 
 // NewGraph returns an empty graph ready for use.
 func NewGraph() *Graph {
-	return &Graph{
-		spo: make(index),
-		pos: make(index),
-		osp: make(index),
-	}
+	return &Graph{set: make(map[Triple]struct{})}
 }
-
-// Len returns the number of distinct triples in the graph.
-func (g *Graph) Len() int { return g.n }
 
 // Add inserts the triple; it reports whether the triple was new.
 // Invalid triples (literal subjects, non-IRI predicates) are rejected
@@ -80,12 +25,10 @@ func (g *Graph) Add(t Triple) (bool, error) {
 	if !t.Valid() {
 		return false, fmt.Errorf("rdf: invalid triple %v", t)
 	}
-	if !g.spo.add(t.S, t.P, t.O) {
+	if _, dup := g.set[t]; dup {
 		return false, nil
 	}
-	g.pos.add(t.P, t.O, t.S)
-	g.osp.add(t.O, t.S, t.P)
-	g.n++
+	g.set[t] = struct{}{}
 	return true, nil
 }
 
@@ -98,222 +41,50 @@ func (g *Graph) MustAdd(t Triple) bool {
 	return added
 }
 
-// AddAll inserts every triple, returning the count of new ones.
-func (g *Graph) AddAll(ts []Triple) (added int, err error) {
-	for _, t := range ts {
-		ok, err := g.Add(t)
-		if err != nil {
-			return added, err
-		}
-		if ok {
-			added++
-		}
-	}
-	return added, nil
-}
-
-// Remove deletes the triple, reporting whether it was present.
-func (g *Graph) Remove(t Triple) bool {
-	if !g.spo.remove(t.S, t.P, t.O) {
-		return false
-	}
-	g.pos.remove(t.P, t.O, t.S)
-	g.osp.remove(t.O, t.S, t.P)
-	g.n--
-	return true
-}
-
-// Has reports whether the exact triple is present.
-func (g *Graph) Has(t Triple) bool {
-	m, ok := g.spo[t.S]
-	if !ok {
-		return false
-	}
-	s, ok := m[t.P]
-	if !ok {
-		return false
-	}
-	_, ok = s[t.O]
-	return ok
-}
-
 // Wildcard marks an unconstrained position in Match. Any term with this
 // exact value matches anything; it cannot collide with real data because
 // its Kind is outside the valid range.
 var Wildcard = Term{Kind: 0xff}
 
-func isWild(t Term) bool { return t.Kind == 0xff }
-
 // Match returns all triples matching the pattern, where any position may
-// be Wildcard. The result ordering is deterministic (sorted by
-// N-Triples rendering) so experiments and tests are reproducible.
+// be Wildcard. The result ordering is deterministic (sorted by term
+// kind, then value, datatype and language, position by position) so
+// experiments and tests are reproducible.
 func (g *Graph) Match(s, p, o Term) []Triple {
 	var out []Triple
-	g.MatchFunc(s, p, o, func(t Triple) bool {
-		out = append(out, t)
-		return true
+	for t := range g.set {
+		if matches(s, t.S) && matches(p, t.P) && matches(o, t.O) {
+			out = append(out, t)
+		}
+	}
+	slices.SortFunc(out, func(a, b Triple) int {
+		if c := termCompare(a.S, b.S); c != 0 {
+			return c
+		}
+		if c := termCompare(a.P, b.P); c != 0 {
+			return c
+		}
+		return termCompare(a.O, b.O)
 	})
-	sort.Slice(out, func(i, j int) bool { return tripleLess(out[i], out[j]) })
 	return out
 }
 
-func tripleLess(a, b Triple) bool {
-	if c := termCompare(a.S, b.S); c != 0 {
-		return c < 0
-	}
-	if c := termCompare(a.P, b.P); c != 0 {
-		return c < 0
-	}
-	return termCompare(a.O, b.O) < 0
-}
+func matches(pattern, t Term) bool { return pattern == Wildcard || pattern == t }
 
 func termCompare(a, b Term) int {
-	switch {
-	case a.Kind != b.Kind:
+	if a.Kind != b.Kind {
 		return int(a.Kind) - int(b.Kind)
-	case a.Value != b.Value:
-		if a.Value < b.Value {
-			return -1
-		}
-		return 1
-	case a.Datatype != b.Datatype:
-		if a.Datatype < b.Datatype {
-			return -1
-		}
-		return 1
-	case a.Lang != b.Lang:
-		if a.Lang < b.Lang {
-			return -1
-		}
-		return 1
 	}
-	return 0
-}
-
-// MatchFunc streams matching triples to fn in unspecified order; fn
-// returns false to stop early. It picks the index that binds the most
-// constants.
-func (g *Graph) MatchFunc(s, p, o Term, fn func(Triple) bool) {
-	sw, pw, ow := isWild(s), isWild(p), isWild(o)
-	switch {
-	case !sw && !pw && !ow:
-		if g.Has(Triple{s, p, o}) {
-			fn(Triple{s, p, o})
-		}
-	case !sw && !pw: // s p ?
-		for obj := range g.spo[s][p] {
-			if !fn(Triple{s, p, obj}) {
-				return
-			}
-		}
-	case !pw && !ow: // ? p o
-		for sub := range g.pos[p][o] {
-			if !fn(Triple{sub, p, o}) {
-				return
-			}
-		}
-	case !sw && !ow: // s ? o
-		for pred := range g.osp[o][s] {
-			if !fn(Triple{s, pred, o}) {
-				return
-			}
-		}
-	case !sw: // s ? ?
-		for pred, objs := range g.spo[s] {
-			for obj := range objs {
-				if !fn(Triple{s, pred, obj}) {
-					return
-				}
-			}
-		}
-	case !pw: // ? p ?
-		for obj, subs := range g.pos[p] {
-			for sub := range subs {
-				if !fn(Triple{sub, p, obj}) {
-					return
-				}
-			}
-		}
-	case !ow: // ? ? o
-		for sub, preds := range g.osp[o] {
-			for pred := range preds {
-				if !fn(Triple{sub, pred, o}) {
-					return
-				}
-			}
-		}
-	default: // ? ? ?
-		for sub, pm := range g.spo {
-			for pred, objs := range pm {
-				for obj := range objs {
-					if !fn(Triple{sub, pred, obj}) {
-						return
-					}
-				}
-			}
-		}
+	if c := strings.Compare(a.Value, b.Value); c != 0 {
+		return c
 	}
+	if c := strings.Compare(a.Datatype, b.Datatype); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Lang, b.Lang)
 }
 
 // Triples returns every triple, deterministically ordered.
 func (g *Graph) Triples() []Triple {
 	return g.Match(Wildcard, Wildcard, Wildcard)
-}
-
-// Objects returns all objects of (s, p, ?), deterministically ordered.
-func (g *Graph) Objects(s, p Term) []Term {
-	set := g.spo[s][p]
-	out := make([]Term, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sortTerms(out)
-	return out
-}
-
-// Subjects returns all subjects of (?, p, o), deterministically ordered.
-func (g *Graph) Subjects(p, o Term) []Term {
-	set := g.pos[p][o]
-	out := make([]Term, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sortTerms(out)
-	return out
-}
-
-// FirstObject returns one object of (s, p, ?), ok=false when none exists.
-// When several objects exist the smallest (deterministic) one is chosen.
-func (g *Graph) FirstObject(s, p Term) (Term, bool) {
-	objs := g.Objects(s, p)
-	if len(objs) == 0 {
-		return Term{}, false
-	}
-	return objs[0], true
-}
-
-func sortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return termCompare(ts[i], ts[j]) < 0 })
-}
-
-// Clone returns a deep, independent copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := NewGraph()
-	g.MatchFunc(Wildcard, Wildcard, Wildcard, func(t Triple) bool {
-		out.MustAdd(t)
-		return true
-	})
-	return out
-}
-
-// Merge adds every triple of other into g, returning the number added.
-func (g *Graph) Merge(other *Graph) int {
-	added := 0
-	other.MatchFunc(Wildcard, Wildcard, Wildcard, func(t Triple) bool {
-		if g.MustAdd(t) {
-			added++
-		}
-		return true
-	})
-	return added
 }

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -16,34 +17,22 @@ var (
 	sensor = IRI(ex + "Sensor")
 )
 
-func TestAddHasRemove(t *testing.T) {
+func TestAddDedupes(t *testing.T) {
 	g := NewGraph()
 	tr := Triple{alice, knows, bob}
 	added, err := g.Add(tr)
 	if err != nil || !added {
 		t.Fatalf("Add = (%v, %v), want (true, nil)", added, err)
 	}
-	if !g.Has(tr) {
-		t.Fatal("Has = false after Add")
-	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
+	if !has(g, tr) {
+		t.Fatal("triple absent after Add")
 	}
 	added, err = g.Add(tr)
 	if err != nil || added {
 		t.Fatalf("duplicate Add = (%v, %v), want (false, nil)", added, err)
 	}
-	if g.Len() != 1 {
-		t.Fatalf("Len after dup = %d, want 1", g.Len())
-	}
-	if !g.Remove(tr) {
-		t.Fatal("Remove = false for present triple")
-	}
-	if g.Has(tr) || g.Len() != 0 {
-		t.Fatal("triple still present after Remove")
-	}
-	if g.Remove(tr) {
-		t.Fatal("Remove = true for absent triple")
+	if size(g) != 1 {
+		t.Fatalf("%d triples after a duplicate Add, want 1", size(g))
 	}
 }
 
@@ -59,7 +48,7 @@ func TestAddRejectsInvalid(t *testing.T) {
 			t.Errorf("Add(%v) succeeded, want error", tr)
 		}
 	}
-	if g.Len() != 0 {
+	if size(g) != 0 {
 		t.Fatal("invalid triples entered the store")
 	}
 }
@@ -105,100 +94,35 @@ func TestMatchDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestMatchFuncEarlyStop(t *testing.T) {
-	g := NewGraph()
-	g.MustAdd(Triple{alice, knows, bob})
-	g.MustAdd(Triple{bob, knows, alice})
-	count := 0
-	g.MatchFunc(Wildcard, knows, Wildcard, func(Triple) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("early stop delivered %d triples, want 1", count)
-	}
-}
-
-func TestObjectsSubjectsFirstObject(t *testing.T) {
-	g := NewGraph()
-	g.MustAdd(Triple{radar, IRI(RDFSSubClassOf), sensor})
-	g.MustAdd(Triple{radar, IRI(RDFSSubClassOf), IRI(ex + "Device")})
-	objs := g.Objects(radar, IRI(RDFSSubClassOf))
-	if len(objs) != 2 {
-		t.Fatalf("Objects = %v, want 2 entries", objs)
-	}
-	subs := g.Subjects(IRI(RDFSSubClassOf), sensor)
-	if len(subs) != 1 || subs[0] != radar {
-		t.Fatalf("Subjects = %v, want [radar]", subs)
-	}
-	first, ok := g.FirstObject(radar, IRI(RDFSSubClassOf))
-	if !ok || first != IRI(ex+"Device") { // "Device" < "Sensor"
-		t.Fatalf("FirstObject = (%v, %v)", first, ok)
-	}
-	if _, ok := g.FirstObject(bob, knows); ok {
-		t.Fatal("FirstObject reported ok for missing subject")
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	g := NewGraph()
-	g.MustAdd(Triple{alice, knows, bob})
-	c := g.Clone()
-	c.MustAdd(Triple{bob, knows, alice})
-	if g.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("clone not independent: g=%d c=%d", g.Len(), c.Len())
-	}
-}
-
-func TestMerge(t *testing.T) {
-	g := NewGraph()
-	g.MustAdd(Triple{alice, knows, bob})
-	h := NewGraph()
-	h.MustAdd(Triple{alice, knows, bob})
-	h.MustAdd(Triple{bob, knows, alice})
-	if n := g.Merge(h); n != 1 {
-		t.Fatalf("Merge added %d, want 1", n)
-	}
-	if g.Len() != 2 {
-		t.Fatalf("Len after merge = %d, want 2", g.Len())
-	}
-}
-
-func TestIndexConsistencyProperty(t *testing.T) {
-	// Property: after any sequence of adds/removes, every index answers
-	// the same membership question.
-	f := func(ops []struct {
-		S, P, O uint8
-		Del     bool
-	}) bool {
+// TestMatchAgreesWithSetProperty: after any sequence of adds, every
+// pattern shape answers exactly the added triples it constrains.
+func TestMatchAgreesWithSetProperty(t *testing.T) {
+	f := func(ops []struct{ S, P, O uint8 }) bool {
 		g := NewGraph()
 		model := make(map[Triple]bool)
 		terms := []Term{alice, bob, radar, sensor}
 		preds := []Term{knows, name, IRI(RDFSSubClassOf)}
 		for _, op := range ops {
 			tr := Triple{terms[int(op.S)%len(terms)], preds[int(op.P)%len(preds)], terms[int(op.O)%len(terms)]}
-			if op.Del {
-				g.Remove(tr)
-				delete(model, tr)
-			} else {
-				g.MustAdd(tr)
-				model[tr] = true
+			g.MustAdd(tr)
+			model[tr] = true
+		}
+		for _, s := range append(terms, Wildcard) {
+			for _, p := range append(preds, Wildcard) {
+				for _, o := range append(terms, Wildcard) {
+					want := 0
+					for tr := range model {
+						if matches(s, tr.S) && matches(p, tr.P) && matches(o, tr.O) {
+							want++
+						}
+					}
+					if len(g.Match(s, p, o)) != want {
+						return false
+					}
+				}
 			}
 		}
-		if g.Len() != len(model) {
-			return false
-		}
-		for tr := range model {
-			if !g.Has(tr) {
-				return false
-			}
-			if len(g.Match(tr.S, tr.P, Wildcard)) == 0 ||
-				len(g.Match(Wildcard, tr.P, tr.O)) == 0 ||
-				len(g.Match(tr.S, Wildcard, tr.O)) == 0 {
-				return false
-			}
-		}
-		return len(g.Match(Wildcard, Wildcard, Wildcard)) == len(model)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -206,17 +130,25 @@ func TestIndexConsistencyProperty(t *testing.T) {
 }
 
 func TestTermLiteralAccessors(t *testing.T) {
-	if v, ok := IntLiteral(42).Int(); !ok || v != 42 {
-		t.Fatalf("Int() = (%d, %v)", v, ok)
+	cases := []struct {
+		t                     Term
+		value, datatype, lang string
+	}{
+		{FloatLiteral(2.5), "2.5", XSDDouble, ""},
+		{BoolLiteral(true), "true", XSDBoolean, ""},
+		{LangLiteral("hei", "no"), "hei", "", "no"},
+		{TypedLiteral("7", XSDInteger), "7", XSDInteger, ""},
 	}
-	if v, ok := FloatLiteral(2.5).Float(); !ok || v != 2.5 {
-		t.Fatalf("Float() = (%v, %v)", v, ok)
+	for _, c := range cases {
+		if !c.t.IsLiteral() || c.t.IsIRI() || c.t.IsBlank() {
+			t.Errorf("%v is not a literal", c.t)
+		}
+		if c.t.Value != c.value || c.t.Datatype != c.datatype || c.t.Lang != c.lang {
+			t.Errorf("%v = (%q, %q, %q), want (%q, %q, %q)", c.t, c.t.Value, c.t.Datatype, c.t.Lang, c.value, c.datatype, c.lang)
+		}
 	}
-	if _, ok := alice.Int(); ok {
-		t.Fatal("IRI parsed as int")
-	}
-	if _, ok := Literal("abc").Int(); ok {
-		t.Fatal("non-numeric literal parsed as int")
+	if alice.IsLiteral() || !alice.IsIRI() || !Blank("b").IsBlank() {
+		t.Fatal("IRI or blank node reported as the wrong kind")
 	}
 }
 
@@ -230,7 +162,7 @@ func TestTermString(t *testing.T) {
 		{Literal("hi"), `"hi"`},
 		{Literal("a\"b\\c\nd"), `"a\"b\\c\nd"`},
 		{LangLiteral("hei", "no"), `"hei"@no`},
-		{IntLiteral(7), `"7"^^<` + XSDInteger + `>`},
+		{intLiteral(7), `"7"^^<` + XSDInteger + `>`},
 		{TypedLiteral("x", XSDString), `"x"`},
 	}
 	for _, c := range cases {
@@ -239,3 +171,38 @@ func TestTermString(t *testing.T) {
 		}
 	}
 }
+
+// has reports whether the graph holds exactly t.
+func has(g *Graph, t Triple) bool { return len(g.Match(t.S, t.P, t.O)) == 1 }
+
+// size is the number of triples in g.
+func size(g *Graph) int { return len(g.Triples()) }
+
+// objects lists the objects of (s, p, ?) in Match order.
+func objects(g *Graph, s, p Term) []Term {
+	var out []Term
+	for _, t := range g.Match(s, p, Wildcard) {
+		out = append(out, t.O)
+	}
+	return out
+}
+
+// subjects lists the subjects of (?, p, o) in Match order.
+func subjects(g *Graph, p, o Term) []Term {
+	var out []Term
+	for _, t := range g.Match(Wildcard, p, o) {
+		out = append(out, t.S)
+	}
+	return out
+}
+
+// firstObject is the smallest object of (s, p, ?); ok=false when none.
+func firstObject(g *Graph, s, p Term) (Term, bool) {
+	objs := objects(g, s, p)
+	if len(objs) == 0 {
+		return Term{}, false
+	}
+	return objs[0], true
+}
+
+func intLiteral(v int) Term { return TypedLiteral(strconv.Itoa(v), XSDInteger) }

@@ -1,14 +1,14 @@
 // Package rdf implements the semantic-web substrate the paper assumes:
-// an in-memory RDF triple store with a Turtle-subset parser, N-Triples
-// serialization, basic-graph-pattern queries, and RDFS forward-chaining
-// inference (subClassOf/subPropertyOf transitivity, type propagation,
-// domain/range entailment).
+// RDF terms and triples, a triple set, a Turtle-subset parser, and
+// N-Triples and Turtle serialization.
 //
 // The ICDEW'06 architecture describes services with "semantic service
 // descriptions" grounded in shared ontologies and requires registries to
 // host ontologies as artifacts when disconnected from the web (§4.6).
-// Since no RDF/OWL library may be imported, this package provides the
-// subset of RDF/RDFS semantics that semantic service matchmaking needs.
+// This package reads and writes those documents; it does no reasoning.
+// The ontology package reads the class axioms out of a graph and
+// compiles their subsumption closure itself, and an RDFS forward-chainer
+// in that package's tests checks the closure against RDFS entailment.
 package rdf
 
 import (
@@ -42,8 +42,8 @@ type Term struct {
 	Lang     string
 }
 
-// Well-known vocabulary IRIs used by the inference rules and by the
-// ontology layer built on top of this package.
+// Well-known vocabulary IRIs used by the ontology and profile layers
+// built on top of this package.
 const (
 	RDFType        = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 	RDFProperty    = "http://www.w3.org/1999/02/22-rdf-syntax-ns#Property"
@@ -86,11 +86,6 @@ func LangLiteral(lexical, lang string) Term {
 	return Term{Kind: KindLiteral, Value: lexical, Lang: lang}
 }
 
-// IntLiteral returns an xsd:integer literal.
-func IntLiteral(v int64) Term {
-	return TypedLiteral(strconv.FormatInt(v, 10), XSDInteger)
-}
-
 // FloatLiteral returns an xsd:double literal.
 func FloatLiteral(v float64) Term {
 	return TypedLiteral(strconv.FormatFloat(v, 'g', -1, 64), XSDDouble)
@@ -109,25 +104,6 @@ func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 
 // IsLiteral reports whether the term is a literal.
 func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
-
-// Int parses the literal as an integer; ok is false for non-literals and
-// unparseable lexical forms.
-func (t Term) Int() (v int64, ok bool) {
-	if !t.IsLiteral() {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(t.Value, 10, 64)
-	return v, err == nil
-}
-
-// Float parses the literal as a float64.
-func (t Term) Float() (v float64, ok bool) {
-	if !t.IsLiteral() {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(t.Value, 64)
-	return v, err == nil
-}
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {

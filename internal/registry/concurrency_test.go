@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +97,64 @@ func TestConcurrentStoreStress(t *testing.T) {
 	// indexes serve is present, and Adverts' count matches Len.
 	if got := len(s.Adverts()); got != s.Len() {
 		t.Fatalf("Adverts() returned %d entries, Len() says %d", got, s.Len())
+	}
+}
+
+// TestServiceKeyRuleUnderConcurrentPublishes races publishes under a
+// few service keys, each a fresh advert ID at a random version, and
+// checks the one-rule-per-key outcome: one resident advert per key,
+// holding the highest version any publish under that key carried.
+func TestServiceKeyRuleUnderConcurrentPublishes(t *testing.T) {
+	s := newStore(t)
+	const (
+		writers = 8
+		rounds  = 150
+		keys    = 4
+	)
+	var (
+		mu  sync.Mutex
+		top [keys]uint64
+		wg  sync.WaitGroup
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := uuid.NewGenerator(uint64(2000 + w))
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < rounds; i++ {
+				k, v := rng.Intn(keys), uint64(1+rng.Intn(6))
+				adv := wire.Advertisement{
+					ID: g.New(), Provider: g.New(), ProviderAddr: "x", Kind: describe.KindSemantic,
+					Payload:     semPayload(fmt.Sprintf("urn:svc:key%d", k), "Radar"),
+					LeaseMillis: uint64(time.Hour / time.Millisecond), Version: v,
+				}
+				if _, _, err := s.Publish(adv, t0); err != nil && !errors.Is(err, ErrStaleVersion) {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				top[k] = max(top[k], v)
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	held := map[string]uint64{}
+	for _, a := range s.Adverts() {
+		d, err := s.Models().DecodeDescription(a.Kind, a.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, dup := held[d.ServiceKey()]; dup {
+			t.Fatalf("two resident adverts for %s", d.ServiceKey())
+		}
+		held[d.ServiceKey()] = a.Version
+	}
+	for k, v := range top {
+		if got := held[fmt.Sprintf("urn:svc:key%d", k)]; got != v {
+			t.Errorf("key %d holds v%d, want the highest published, v%d", k, got, v)
+		}
 	}
 }
 

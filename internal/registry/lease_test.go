@@ -36,7 +36,8 @@ func (m *leaseModel) grant(adv wire.Advertisement, now time.Time) time.Time {
 // publish applies one publish and returns whether it is rejected as
 // stale.
 func (m *leaseModel) publish(adv wire.Advertisement, key string, now time.Time) (stale bool) {
-	if old, ok := m.resident[adv.ID]; ok {
+	old, had := m.resident[adv.ID]
+	if had {
 		if adv.Version < old.adv.Version {
 			return true
 		}
@@ -44,6 +45,13 @@ func (m *leaseModel) publish(adv wire.Advertisement, key string, now time.Time) 
 			old.deadline = m.grant(adv, now) // a renewal
 			return false
 		}
+	}
+	// One rule per service key: a lower version than the key's holder
+	// is stale.
+	if h, ok := m.resident[m.bySvc[key]]; ok && m.bySvc[key] != adv.ID && adv.Version < h.adv.Version {
+		return true
+	}
+	if had {
 		delete(m.resident, adv.ID) // the service-key mapping stays
 	}
 	m.resident[adv.ID] = &modelAdvert{adv: adv, key: key, deadline: m.grant(adv, now)}

@@ -39,7 +39,13 @@ func mergeRankOracle(s *Store, kind describe.Kind, payload []byte, pools [][]wir
 	for id := range byID {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return uuid.Compare(ids[i], ids[j]) < 0 })
+	// Per service key the highest version stands, then the lowest ID.
+	sort.Slice(ids, func(i, j int) bool {
+		if a, b := byID[ids[i]].Version, byID[ids[j]].Version; a != b {
+			return a > b
+		}
+		return uuid.Compare(ids[i], ids[j]) < 0
+	})
 
 	limit := s.EffectiveLimit(opts)
 	top := newTopK(limit)
@@ -223,7 +229,10 @@ func TestMergeRankMatchesOracle(t *testing.T) {
 				upd := own[w.rng.Intn(len(own))]
 				upd.Version++
 				upd.Payload = w.pop[w.rng.Intn(len(w.pop))].Encode()
-				if _, _, err := w.s.Publish(upd, t0); err != nil {
+				// Under another service's key the update is stale when
+				// that key's holder has a higher version.
+				_, _, err := w.s.Publish(upd, t0)
+				if err := publishErr(w.s, upd, err); err != nil {
 					t.Fatal(err)
 				}
 				w.s.Remove(own[w.rng.Intn(len(own))].ID)

@@ -248,8 +248,9 @@ type stored struct {
 // (id, seq) so they can never clobber a newer mapping written by a
 // racing re-publish of the same advert ID.
 type svcEntry struct {
-	id  uuid.UUID
-	seq uint64
+	id      uuid.UUID
+	seq     uint64
+	version uint64 // the advert's version, for the one-rule-per-key check
 }
 
 type subscription struct {
@@ -470,7 +471,8 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 
 	sh := s.shardFor(adv.ID)
 	sh.mu.Lock()
-	if old, exists := sh.adverts[adv.ID]; exists {
+	old, exists := sh.adverts[adv.ID]
+	if exists {
 		if adv.Version < old.advert.Version {
 			have := old.advert.Version
 			sh.mu.Unlock()
@@ -489,10 +491,41 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 			}
 			return granted, notes, lsn, nil
 		}
+	}
+	// One rule per service key: the higher version holds it, and on a
+	// tie the later publish here does; a lower version is stale. The
+	// check and the byService write share one svcMu section, so two
+	// racing publishes under one key cannot both pass it. The mapping
+	// names adv.ID before the record is linked; readers that resolve it
+	// wait on this shard's lock, which is held until the link is done
+	// (lock order is always shard → svcMu, never the reverse).
+	var oldSvc svcEntry
+	hadSvc := false
+	var seq uint64
+	if svcKey != "" {
+		s.svcMu.Lock()
+		oldSvc, hadSvc = s.byService[svcKey]
+		if hadSvc && oldSvc.id != adv.ID && adv.Version < oldSvc.version {
+			s.svcMu.Unlock()
+			sh.mu.Unlock()
+			mPublishErrors.Inc()
+			return 0, nil, 0, fmt.Errorf("%w: service key has v%d, got v%d", ErrStaleVersion, oldSvc.version, adv.Version)
+		}
+		s.svcSeq++
+		seq = s.svcSeq
+		s.byService[svcKey] = svcEntry{id: adv.ID, seq: seq, version: adv.Version}
+		s.svcMu.Unlock()
+	}
+	if exists {
 		// An update may change the description's tokens: unindex first,
-		// and invalidate what the old tokens could see.
-		s.unlinkLocked(sh, adv.ID)
+		// and invalidate what the old tokens could see. An update that
+		// moves the advert to another service key (or to none) also
+		// frees the key it held.
+		snap, _ := s.unlinkLocked(sh, adv.ID)
 		s.countAdd(-1)
+		if snap.svcKey != svcKey {
+			s.dropServiceKey(snap)
+		}
 	}
 	granted := s.leasePolicy.Clamp(time.Duration(adv.LeaseMillis) * time.Millisecond)
 	mLeaseGranted.Inc()
@@ -507,20 +540,7 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 	sh.insertLocked(st)
 	s.gens.bump(tokens)
 	sh.refreshDeadlineLocked()
-	// The byService mapping (and st.svcSeq) is written while the shard
-	// lock still pins st's arena slot: a racing Remove could otherwise
-	// recycle the slot and the svcSeq store would corrupt an unrelated
-	// record. Lock order is always shard → svcMu, never the reverse.
-	var oldSvc svcEntry
-	hadSvc := false
-	if svcKey != "" {
-		s.svcMu.Lock()
-		oldSvc, hadSvc = s.byService[svcKey]
-		s.svcSeq++
-		s.byService[svcKey] = svcEntry{id: adv.ID, seq: s.svcSeq}
-		st.svcSeq = s.svcSeq
-		s.svcMu.Unlock()
-	}
+	st.svcSeq = seq // under the shard lock, which pins st's arena slot
 	// The log record is appended while the shard lock still orders this
 	// mutation (a buffered write, no I/O); the durability barrier waits
 	// until after notification matching, outside every lock.
@@ -538,7 +558,9 @@ func (s *Store) PublishAsync(adv wire.Advertisement, now time.Time) (time.Durati
 	if hadSvc && oldSvc.id != adv.ID {
 		osh := s.shardFor(oldSvc.id)
 		osh.mu.Lock()
-		if prev, ok := osh.adverts[oldSvc.id]; ok && adv.Version >= prev.advert.Version {
+		// A racing update may have moved prev to another key meanwhile;
+		// it no longer competes for this one then.
+		if prev, ok := osh.adverts[oldSvc.id]; ok && adv.Version >= prev.advert.Version && prev.serviceKey() == svcKey {
 			s.unlinkLocked(osh, oldSvc.id)
 			osh.refreshDeadlineLocked()
 			s.countAdd(-1)
@@ -1214,9 +1236,14 @@ func (s *Store) MergeRank(kind describe.Kind, payload []byte, pools [][]wire.Adv
 		c.key = c.serviceKey()
 		kept = append(kept, i)
 	}
-	// Each service key's run starts with its lowest ID.
+	// Each service key's run starts with the advert that stands for it:
+	// the store's rule (the highest version), and on a version tie,
+	// which pools cannot order by arrival, the lowest ID.
 	slices.SortFunc(kept, func(i, j int32) int {
 		if c := strings.Compare(cands[i].key, cands[j].key); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(cands[j].adv.Version, cands[i].adv.Version); c != 0 {
 			return c
 		}
 		return uuid.Compare(cands[i].adv.ID, cands[j].adv.ID)

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -68,6 +69,33 @@ func semAdvert(serviceIRI, category string, lease time.Duration) wire.Advertisem
 func semQuery(category string) []byte {
 	q := &describe.SemanticQuery{Template: &profile.Template{Category: c(category)}}
 	return q.Encode()
+}
+
+// publishErr returns nil when Publish's err is nil or an
+// ErrStaleVersion that a resident advert justifies: adv's own ID, or
+// another advert under adv's service key, at a higher version. Models
+// that do not track service keys accept staleness through it without
+// letting a wrong rejection through.
+func publishErr(s *Store, adv wire.Advertisement, err error) error {
+	if err == nil || !errors.Is(err, ErrStaleVersion) {
+		return err
+	}
+	d, derr := s.Models().DecodeDescription(adv.Kind, adv.Payload)
+	if derr != nil {
+		return derr
+	}
+	for _, r := range s.Adverts() {
+		if r.Version <= adv.Version {
+			continue
+		}
+		if r.ID == adv.ID {
+			return nil
+		}
+		if rd, _ := s.Models().DecodeDescription(r.Kind, r.Payload); rd != nil && rd.ServiceKey() == d.ServiceKey() {
+			return nil
+		}
+	}
+	return fmt.Errorf("Publish(%v v%d): %w, but no resident advert has a higher version", adv.ID, adv.Version, err)
 }
 
 func TestPublishAndEvaluate(t *testing.T) {
@@ -300,6 +328,15 @@ func TestMergeRank(t *testing.T) {
 	res, _ = s.MergeRank(describe.KindSemantic, semQuery("Sensor"), pools, QueryOptions{BestOnly: true})
 	if len(res) != 1 {
 		t.Fatalf("BestOnly merge returned %d", len(res))
+	}
+	// One service under two IDs in two pools: the higher version stands
+	// for it, as in the store, even when its ID is the higher one.
+	newer, older := a, a
+	newer.ID, newer.Version = uuid.UUID{15: 2}, 3
+	older.ID, older.Version = uuid.UUID{15: 1}, 1
+	res, _ = s.MergeRank(describe.KindSemantic, semQuery("Sensor"), [][]wire.Advertisement{{older}, {newer}}, QueryOptions{})
+	if len(res) != 1 || res[0].ID != newer.ID || res[0].Version != 3 {
+		t.Fatalf("merge of one service at v1 and v3 returned %+v, want only v3", res)
 	}
 }
 

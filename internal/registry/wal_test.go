@@ -266,6 +266,7 @@ func TestWALSnapshotTailEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20260808} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			ids := uuid.NewGenerator(uint64(seed)) // a seed names one history
 			dir := t.TempDir()
 			mk := walFactory(t)
 			clock := t0
@@ -286,7 +287,7 @@ func TestWALSnapshotTailEquivalence(t *testing.T) {
 				clock = clock.Add(time.Duration(rng.Intn(400)) * time.Millisecond)
 				switch op := rng.Intn(12); {
 				case op < 5: // fresh publish
-					a := liveAdv{id: walGen.New(), svc: fmt.Sprintf("urn:svc:%d-%d", seed, i), version: 1}
+					a := liveAdv{id: ids.New(), svc: fmt.Sprintf("urn:svc:%d-%d", seed, i), version: 1}
 					adv := walAdvert(a.id, a.svc, cats[rng.Intn(len(cats))], 1, time.Duration(1+rng.Intn(20))*time.Second)
 					if _, _, err := st.Publish(adv, clock); err != nil {
 						t.Fatal(err)
@@ -296,14 +297,17 @@ func TestWALSnapshotTailEquivalence(t *testing.T) {
 					a := &advs[rng.Intn(len(advs))]
 					a.version++
 					adv := walAdvert(a.id, a.svc, cats[rng.Intn(len(cats))], a.version, time.Duration(1+rng.Intn(20))*time.Second)
-					if _, _, err := st.Publish(adv, clock); err != nil {
+					// Stale when the service key's holder has a higher version.
+					_, _, err := st.Publish(adv, clock)
+					if err := publishErr(st, adv, err); err != nil {
 						t.Fatal(err)
 					}
 				case op == 7 && len(advs) > 0: // supersede: same service, new ID
 					old := advs[rng.Intn(len(advs))]
-					a := liveAdv{id: walGen.New(), svc: old.svc, version: old.version + 1}
+					a := liveAdv{id: ids.New(), svc: old.svc, version: old.version + 1}
 					adv := walAdvert(a.id, a.svc, cats[rng.Intn(len(cats))], a.version, time.Duration(1+rng.Intn(20))*time.Second)
-					if _, _, err := st.Publish(adv, clock); err != nil {
+					_, _, err := st.Publish(adv, clock)
+					if err := publishErr(st, adv, err); err != nil {
 						t.Fatal(err)
 					}
 					advs = append(advs, a)
@@ -315,7 +319,7 @@ func TestWALSnapshotTailEquivalence(t *testing.T) {
 					if rng.Intn(3) == 0 && len(subIDs) > 0 {
 						st.Unsubscribe(subIDs[rng.Intn(len(subIDs))])
 					} else {
-						id := walGen.New()
+						id := ids.New()
 						var exp time.Time
 						if rng.Intn(2) == 0 {
 							exp = clock.Add(time.Duration(1+rng.Intn(30)) * time.Second)
@@ -948,5 +952,105 @@ func awaitAllDurable(t *testing.T, w *WAL) {
 		if time.Now().After(deadline) {
 			t.Fatalf("records up to LSN %d never reached a commit round (durable: %d)", last, durable)
 		}
+	}
+}
+
+// TestKeyMoveFreesOldServiceKey updates advert A (v5, service key K1)
+// under its own ID to v6 with K2's payload, which must free K1: a
+// fresh-ID publish under K1 at a lower version is then accepted, by the
+// live store and by one recovered from a snapshot taken after the move
+// alike, and the two stores stay equal.
+func TestKeyMoveFreesOldServiceKey(t *testing.T) {
+	dir := t.TempDir()
+	mk := walFactory(t)
+	nowFn := func() time.Time { return t0 }
+	st, w, _, err := Recover(WALConfig{Dir: dir, NewStore: mk, Now: nowFn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := mk() // the same history, kept running without a log
+	a, b := uuid.UUID{15: 1}, uuid.UUID{15: 2}
+	const k1, k2 = "urn:svc:k1", "urn:svc:k2"
+	for _, adv := range []wire.Advertisement{walAdvert(a, k1, "Radar", 5, time.Hour), walAdvert(a, k2, "Radar", 6, time.Hour)} {
+		for _, s := range []*Store{st, live} {
+			if _, _, err := s.Publish(adv, t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, w2, _, err := Recover(WALConfig{Dir: dir, NewStore: mk, Now: nowFn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	for name, s := range map[string]*Store{"live": live, "recovered": rec} {
+		if _, _, err := s.Publish(walAdvert(b, k1, "Radar", 1, time.Hour), t0); err != nil {
+			t.Errorf("%s store: fresh-ID publish under the freed key %s at v1: %v", name, k1, err)
+		}
+	}
+	assertStoresEqual(t, live, rec, t0, [][]byte{semQuery("Sensor")})
+	if n := len(live.Adverts()); n != 2 {
+		t.Errorf("store holds %d adverts, want A under %s and B under %s", n, k2, k1)
+	}
+}
+
+// TestSnapshotKeepsOneAdvertPerServiceKey replays the history that lost
+// a live advert on recovery: under one service key, A v1, B v2 and C v3
+// are published (each superseding the last) and then A again at v2.
+// The store keeps one advert per key — the highest version, so C v3 —
+// and a snapshot taken then recovers to the same store whichever way A
+// and C order by ID (the snapshot is written in ID order).
+func TestSnapshotKeepsOneAdvertPerServiceKey(t *testing.T) {
+	id := func(b byte) uuid.UUID { return uuid.UUID{15: b} }
+	for _, order := range []struct {
+		name    string
+		a, b, c uuid.UUID
+	}{
+		{"A<B<C", id(1), id(2), id(3)},
+		{"C<A<B", id(2), id(3), id(1)},
+	} {
+		t.Run(order.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mk := walFactory(t)
+			nowFn := func() time.Time { return t0 }
+			st, w, _, err := Recover(WALConfig{Dir: dir, NewStore: mk, Now: nowFn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const svc = "urn:svc:history"
+			for _, p := range []struct {
+				id      uuid.UUID
+				version uint64
+			}{{order.a, 1}, {order.b, 2}, {order.c, 3}} {
+				if _, _, err := st.Publish(walAdvert(p.id, svc, "Radar", p.version, time.Hour), t0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, lastErr := st.Publish(walAdvert(order.a, svc, "Radar", 2, time.Hour), t0)
+			if err := w.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, w2, _, err := Recover(WALConfig{Dir: dir, NewStore: mk, Now: nowFn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			assertStoresEqual(t, st, rec, t0, [][]byte{semQuery("Sensor")})
+			if !errors.Is(lastErr, ErrStaleVersion) {
+				t.Errorf("republishing A at v2 under C v3's key: err = %v, want ErrStaleVersion", lastErr)
+			}
+			if live := st.Adverts(); len(live) != 1 || live[0].ID != order.c || live[0].Version != 3 {
+				t.Errorf("store holds %d adverts for one service key, want only C v3", len(live))
+			}
+		})
 	}
 }

@@ -112,9 +112,6 @@ func (n *Network) SetFault(scope string, p FaultProfile) {
 // ClearFault removes the profile installed for a scope.
 func (n *Network) ClearFault(scope string) { delete(n.faults, scope) }
 
-// ClearFaults removes every installed fault profile.
-func (n *Network) ClearFaults() { n.faults = nil }
-
 // faultFor resolves the profile governing one datagram,
 // most-specific-first.
 func (n *Network) faultFor(from, to *node) *faultState {

@@ -96,15 +96,6 @@ func Parse(s string) (UUID, error) {
 	return u, nil
 }
 
-// MustParse is Parse for compile-time-known constants; it panics on error.
-func MustParse(s string) UUID {
-	u, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // Generator yields a deterministic UUID stream from a seed. It implements
 // the SplitMix64 generator, which has a full 2^64 period and passes
 // BigCrush; more than adequate for reproducible experiment identities.

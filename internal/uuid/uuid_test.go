@@ -70,15 +70,6 @@ func TestParseRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse of garbage did not panic")
-		}
-	}()
-	MustParse("nope")
-}
-
 func TestGeneratorDeterministic(t *testing.T) {
 	a, b := NewGenerator(42), NewGenerator(42)
 	for i := 0; i < 1000; i++ {

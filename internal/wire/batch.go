@@ -133,18 +133,3 @@ func ForEachInBatch(b []byte, fn func(msg []byte) error) error {
 	}
 	return nil
 }
-
-// BatchCount returns the number of inner frames a batch frame declares,
-// or 0 when b is not a well-formed batch header. It does not validate
-// the inner frames.
-func BatchCount(b []byte) int {
-	if !IsBatchFrame(b) {
-		return 0
-	}
-	r := codec.NewReader(b[batchHeaderLen:])
-	n, err := r.Uvarint()
-	if err != nil || n > MaxBatchMessages {
-		return 0
-	}
-	return int(n)
-}

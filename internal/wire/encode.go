@@ -317,19 +317,3 @@ func cloneBytes(b []byte) []byte {
 	copy(out, b)
 	return out
 }
-
-// EncodedSize returns the marshaled size of the envelope; experiments
-// use it for byte-exact bandwidth accounting without double-encoding.
-// Encoding happens entirely inside a pooled buffer, so a warmed-up
-// size probe allocates nothing.
-func EncodedSize(e *Envelope) (int, error) {
-	w := encodePool.Get().(*codec.Buffer)
-	defer func() {
-		w.Reset()
-		encodePool.Put(w)
-	}()
-	if err := marshalInto(w, e); err != nil {
-		return 0, err
-	}
-	return w.Len(), nil
-}

@@ -85,7 +85,7 @@ func TestQueryMix(t *testing.T) {
 			broad++
 			// Broad queries sit strictly above the leaf level
 			// (leaves are at ontology depth 4: Thing=0, root=1, …).
-			if o.Depth(cat) >= 4 {
+			if o.DepthID(o.ClassID(cat)) >= 4 {
 				t.Fatalf("broad query %s is at leaf depth", cat)
 			}
 		}
