@@ -51,15 +51,17 @@ chaos:
 # Fuzz smoke: every fuzz target for a fixed 10 s each — the wire decoder,
 # runtime.Dispatch (batch splitting + the reused decoder), the Turtle
 # parser, the compiled subsumption closure against its RDFS
-# forward-chaining oracle, and the semantic match record against its
-# profile-walking oracle. A failing input is written under the
-# package's testdata/fuzz/ and replays in plain `go test` from then on.
+# forward-chaining oracle, the semantic match record against its
+# profile-walking oracle, and the template decoder (front-coded IRIs,
+# the expansion bound). A failing input is written under the package's
+# testdata/fuzz/ and replays in plain `go test` from then on.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime=10s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime=10s
 	$(GO) test ./internal/rdf -run '^$$' -fuzz '^FuzzParseTurtle$$' -fuzztime=10s
 	$(GO) test ./internal/ontology -run '^$$' -fuzz '^FuzzClosureMatchesRDFS$$' -fuzztime=10s
 	$(GO) test ./internal/match -run '^$$' -fuzz '^FuzzSemanticRecord$$' -fuzztime=10s
+	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzDecodeTemplate$$' -fuzztime=10s
 
 # Fails when a Go file is not gofmt-formatted, and names it. The
 # benchmark's build directory (.bench_build/) is not the repository's.

@@ -48,6 +48,17 @@ func (w *Buffer) Uvarint(v uint64) {
 	w.b = binary.AppendUvarint(w.b, v)
 }
 
+// UvarintLen returns the encoded size of v as a uvarint, so a writer
+// can account for a length prefix before it writes one.
+func UvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 // Varint appends a signed (zigzag) varint.
 func (w *Buffer) Varint(v int64) {
 	w.b = binary.AppendVarint(w.b, v)

@@ -33,8 +33,8 @@ func (d *SemanticDescription) Encode() []byte { return d.Profile.Encode() }
 // compiled once, when it is decoded, into the flat match record the
 // matcher evaluates in place (profile.Record). A registry keeps it by
 // value in its arena record. It holds the payload, which Encode returns
-// unchanged, and views of it for the service key, grounding and
-// category; Name, Text and OntologyIRI are never decoded.
+// unchanged, and views of it for the service key and grounding; Name,
+// Text and OntologyIRI are never decoded.
 type SemanticRecord struct {
 	profile.Record
 }
@@ -206,7 +206,7 @@ func (m *SemanticModel) QueryTokens(q Query) ([]string, bool) {
 		return nil, false
 	}
 	cat := sq.Template.Category
-	rel := m.onto.RelatedIDs(m.onto.ClassID(cat))
+	rel := m.related(sq.Template)
 	if len(rel) == 0 {
 		// Unknown category: only a description advertising the identical
 		// (equally unknown) concept, or Thing, which subsumes it, can
@@ -218,6 +218,15 @@ func (m *SemanticModel) QueryTokens(q Query) ([]string, bool) {
 		tokens[i] = string(m.onto.ClassByID(id))
 	}
 	return tokens, true
+}
+
+// related returns the template's category closure: the one DecodeQuery
+// computed when it interned the template, else a fresh one.
+func (m *SemanticModel) related(t *profile.Template) []ontology.ClassID {
+	if it := t.InternedFor(m.onto); it != nil {
+		return it.Related
+	}
+	return m.onto.RelatedIDs(m.onto.ClassID(t.Category))
 }
 
 // DescriptionConceptID implements ConceptIndexer: the interned ID of
@@ -233,9 +242,9 @@ func (m *SemanticModel) DescriptionConceptID(d Description) (int32, bool) {
 
 // QueryConceptIDs implements ConceptIndexer: the subsumption closure of
 // the requested category as interned IDs — the ID-domain counterpart of
-// QueryTokens' RelatedIDs expansion. A Thing query reports ok=false for the
-// reason QueryTokens makes it unprunable: it also matches descriptions
-// whose category has no concept ID.
+// QueryTokens' expansion, from the same closure. A Thing query reports
+// ok=false for the reason QueryTokens makes it unprunable: it also
+// matches descriptions whose category has no concept ID.
 func (m *SemanticModel) QueryConceptIDs(q Query) ([]int32, bool) {
 	sq, ok := q.(*SemanticQuery)
 	if !ok || sq.Template.Category == "" {
@@ -245,7 +254,7 @@ func (m *SemanticModel) QueryConceptIDs(q Query) ([]int32, bool) {
 	if it == nil || it.Category == ontology.NoClass || it.Category == m.onto.ThingID() {
 		return nil, false
 	}
-	return toInt32s(m.onto.RelatedIDs(it.Category)), true
+	return toInt32s(it.Related), true
 }
 
 // OutputConceptIDs implements Model: the description's declared output

@@ -2,6 +2,7 @@ package match_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -36,25 +37,39 @@ func recordOntology(t testing.TB) *ontology.Ontology {
 	return o
 }
 
-// rawPayload encodes p as Profile.Encode does, except that the QoS
-// values are written as given — in any order, repeats included — in
-// place of p.QoS.
-func rawPayload(p *profile.Profile, qos ...profile.QoSValue) []byte {
-	strs := func(cs []ontology.Class) []string {
-		out := make([]string, len(cs))
-		for i, c := range cs {
-			out[i] = string(c)
-		}
-		return out
-	}
+// rawPayload encodes p in payload version 1 or 2 as Profile.Encode
+// does, except that the QoS values are written as given — in any
+// order, repeats included — in place of p.QoS. Version 1 writes every
+// concept IRI whole; version 2 writes the first whole and each later one
+// as the length of the prefix it shares with the one before, then the
+// rest.
+func rawPayload(version byte, p *profile.Profile, qos ...profile.QoSValue) []byte {
 	var w codec.Buffer
-	w.Byte(1)
+	prev, n := "", 0
+	iri := func(s string) {
+		if version == 2 && n > 0 {
+			shared := 0
+			for shared < len(s) && shared < len(prev) && s[shared] == prev[shared] {
+				shared++
+			}
+			w.Uvarint(uint64(shared))
+			w.String(s[shared:])
+		} else {
+			w.String(s)
+		}
+		prev, n = s, n+1
+	}
+	w.Byte(version)
 	w.String(p.ServiceIRI)
 	w.String(p.Name)
 	w.String(p.Text)
-	w.String(string(p.Category))
-	w.StringSlice(strs(p.Inputs))
-	w.StringSlice(strs(p.Outputs))
+	iri(string(p.Category))
+	for _, cs := range [][]ontology.Class{p.Inputs, p.Outputs} {
+		w.Uvarint(uint64(len(cs)))
+		for _, c := range cs {
+			iri(string(c))
+		}
+	}
 	w.Uvarint(uint64(len(qos)))
 	for _, q := range qos {
 		w.String(q.Attr)
@@ -67,14 +82,14 @@ func rawPayload(p *profile.Profile, qos ...profile.QoSValue) []byte {
 		w.Float64(p.Coverage.LonDeg)
 		w.Float64(p.Coverage.RadiusKm)
 	}
-	w.String(p.OntologyIRI)
+	iri(p.OntologyIRI)
 	return w.Bytes()
 }
 
-// handPayloads are the hand cases' adverts: undeclared concepts on each
-// side, Thing, inputs, coverage, several, repeated, unsorted and
-// non-finite QoS values, and more concepts and QoS values than a record
-// holds inline.
+// handPayloads are the hand cases' adverts, each in payload version 1
+// and 2: undeclared concepts on each side, Thing, inputs, coverage,
+// several, repeated and unsorted QoS values, and more concepts and QoS
+// values than a record holds inline.
 func handPayloads() [][]byte {
 	qv := func(a string, v float64) profile.QoSValue { return profile.QoSValue{Attr: a, Value: v} }
 	cov := &profile.Circle{LatDeg: 60, LonDeg: 10, RadiusKm: 50}
@@ -82,7 +97,9 @@ func handPayloads() [][]byte {
 		return &profile.Profile{ServiceIRI: "urn:svc:" + string(cat), Name: "n", Text: "t", Category: cat, Grounding: "udp://g", OntologyIRI: recNS}
 	}
 	var out [][]byte
-	add := func(p *profile.Profile, qos ...profile.QoSValue) { out = append(out, rawPayload(p, qos...)) }
+	add := func(p *profile.Profile, qos ...profile.QoSValue) {
+		out = append(out, rawPayload(1, p, qos...), rawPayload(2, p, qos...))
+	}
 
 	p := base(rc("Radar"))
 	p.Inputs = []ontology.Class{rc("AreaOfInterest")}
@@ -115,9 +132,30 @@ func handPayloads() [][]byte {
 	p = base(rc("Camera"))
 	p.Outputs = []ontology.Class{rc("Image")}
 	add(p, qv("latency", 2), qv("accuracy", 0.8))
-	add(p, qv("accuracy", math.NaN()), qv("latency", math.Inf(1)))
-	add(p, qv("accuracy", math.Inf(1)), qv("latency", math.Inf(-1)))
-	add(p, qv("accuracy", 0.9), qv("accuracy", math.NaN()))
+	add(p, qv("accuracy", 1e308), qv("latency", -1e308))
+	return out
+}
+
+// nonFinitePayloads are adverts every decoder must reject, in payload
+// version 1 and 2: a NaN or ±Inf QoS value, also where a later repeat
+// of the attribute would hide it, and a non-finite coverage field.
+func nonFinitePayloads() [][]byte {
+	qv := func(a string, v float64) profile.QoSValue { return profile.QoSValue{Attr: a, Value: v} }
+	p := &profile.Profile{ServiceIRI: "urn:svc:cam", Category: rc("Camera"), Outputs: []ontology.Class{rc("Image")}, Grounding: "udp://g"}
+	var out [][]byte
+	for _, qos := range [][]profile.QoSValue{
+		{qv("accuracy", math.NaN()), qv("latency", 2)},
+		{qv("accuracy", math.Inf(1))},
+		{qv("latency", math.Inf(-1))},
+		{qv("accuracy", math.NaN()), qv("accuracy", 0.9)},
+		{qv("accuracy", 0.9), qv("accuracy", math.NaN())},
+	} {
+		out = append(out, rawPayload(1, p, qos...), rawPayload(2, p, qos...))
+	}
+	for _, cov := range []profile.Circle{{RadiusKm: math.NaN()}, {LatDeg: math.Inf(1), RadiusKm: 1}, {LonDeg: math.NaN(), RadiusKm: 1}} {
+		p.Coverage = &cov
+		out = append(out, rawPayload(1, p), rawPayload(2, p))
+	}
 	return out
 }
 
@@ -232,14 +270,29 @@ func (c *recordChecker) check(t testing.TB, q *describe.SemanticQuery, p *profil
 func TestRecordMatchesOracleHandCases(t *testing.T) {
 	o := recordOntology(t)
 	c := newRecordChecker(o)
-	plain := &profile.Profile{ServiceIRI: "urn:s", Category: rc("Radar"), Grounding: "g",
-		QoS: map[string]float64{"b": 2, "a": 1}, Coverage: &profile.Circle{RadiusKm: 1}}
-	if !bytes.Equal(rawPayload(plain, profile.QoSValue{Attr: "a", Value: 1}, profile.QoSValue{Attr: "b", Value: 2}), plain.Encode()) {
+	plain := &profile.Profile{ServiceIRI: "urn:s", Category: rc("Radar"), Grounding: "g", OntologyIRI: recNS,
+		Outputs: []ontology.Class{rc("RadarTrack"), rc("Track")},
+		QoS:     map[string]float64{"b": 2, "a": 1}, Coverage: &profile.Circle{RadiusKm: 1}}
+	if !bytes.Equal(rawPayload(2, plain, profile.QoSValue{Attr: "a", Value: 1}, profile.QoSValue{Attr: "b", Value: 2}), plain.Encode()) {
 		t.Fatal("rawPayload drifted from Profile.Encode")
 	}
 	tpls := handTemplates()
 	for _, tpl := range tpls {
 		tpl.Intern(o)
+	}
+	// A profile built in process is never decoded, so its QoS values
+	// may be non-finite; the matcher must still agree with the oracle.
+	for _, qos := range []map[string]float64{{"accuracy": math.NaN()}, {"accuracy": math.Inf(1)}, {"latency": math.Inf(-1), "accuracy": 0.9}} {
+		p := &profile.Profile{ServiceIRI: "urn:s", Category: rc("Camera"), Grounding: "g", QoS: qos}
+		p.Intern(o)
+		for _, tpl := range tpls {
+			want := match.OracleMatch(o, tpl, p)
+			for _, got := range []match.Result{c.m.Match(tpl, p), c.m.MatchRecord(tpl, p.RecordFor(o))} {
+				if got.Degree != want.Degree || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+					t.Fatalf("template %+v, QoS %v: got %+v, oracle %+v", tpl, qos, got, want)
+				}
+			}
+		}
 	}
 	for _, payload := range handPayloads() {
 		p, d := c.decode(t, payload)
@@ -306,9 +359,41 @@ func TestRecordMatchesOracleOverBenchGrids(t *testing.T) {
 	}
 }
 
-// FuzzSemanticRecord decodes arbitrary profile and query bytes; whenever
-// both decode, Evaluate on the decoded record must equal the oracle on
-// the decoded profile, and the record decoder must accept exactly the
+// TestNonFiniteRejectedAtDecode: an advert with accuracy +Inf against
+// a floor of +Inf once matched with score (Inf−Inf)/Inf = NaN, which
+// breaks the ranking's strict order; a NaN coverage radius decoded
+// too. Every decoder now rejects a non-finite QoS value, floor,
+// coverage field or Near coordinate, in both payload versions.
+func TestNonFiniteRejectedAtDecode(t *testing.T) {
+	o := recordOntology(t)
+	c := newRecordChecker(o)
+	for i, payload := range nonFinitePayloads() {
+		if _, err := profile.Decode(payload); !errors.Is(err, profile.ErrBadPayload) {
+			t.Errorf("payload %d: profile.Decode = %v, want ErrBadPayload", i, err)
+		}
+		if _, err := c.model.DecodeDescription(payload); !errors.Is(err, profile.ErrBadPayload) {
+			t.Errorf("payload %d: DecodeDescription = %v, want ErrBadPayload", i, err)
+		}
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tpl := range []*profile.Template{
+		{MinQoS: map[string]float64{"accuracy": inf}},
+		{MinQoS: map[string]float64{"accuracy": 0.5, "latency": nan}},
+		{MinQoS: map[string]float64{"accuracy": math.Inf(-1)}},
+		{Near: &profile.Point{LatDeg: nan}},
+		{Near: &profile.Point{LatDeg: 60, LonDeg: inf}},
+	} {
+		q := &describe.SemanticQuery{Template: tpl, MinDegree: match.Fail}
+		if _, err := c.model.DecodeQuery(q.Encode()); !errors.Is(err, profile.ErrBadPayload) {
+			t.Errorf("template %+v: DecodeQuery = %v, want ErrBadPayload", tpl, err)
+		}
+	}
+}
+
+// FuzzSemanticRecord decodes arbitrary profile and query bytes, in
+// either payload version; whenever both decode, Evaluate on the decoded
+// record must equal the oracle on the decoded profile and its score
+// must be finite, and the record decoder must accept exactly the
 // payloads profile.Decode accepts.
 func FuzzSemanticRecord(f *testing.F) {
 	o := recordOntology(f)
@@ -318,12 +403,20 @@ func FuzzSemanticRecord(f *testing.F) {
 		q := &describe.SemanticQuery{Template: tpl, MinDegree: match.Degree(i % 4)}
 		f.Add(payloads[i%len(payloads)], q.Encode())
 	}
+	infFloor := &describe.SemanticQuery{Template: &profile.Template{MinQoS: map[string]float64{"accuracy": math.Inf(1)}}}
+	for _, payload := range nonFinitePayloads() {
+		f.Add(payload, infFloor.Encode())
+	}
 	f.Fuzz(func(t *testing.T, payload, query []byte) {
 		p, d := c.decode(t, payload)
 		q, err := c.model.DecodeQuery(query)
 		if p == nil || err != nil {
 			return
 		}
-		c.check(t, q.(*describe.SemanticQuery), p, d)
+		sq := q.(*describe.SemanticQuery)
+		c.check(t, sq, p, d)
+		if s := c.model.Evaluate(sq, d).Score; math.IsNaN(s) || math.IsInf(s, 0) {
+			t.Fatalf("score %v for template %+v, profile %+v", s, sq.Template, p)
+		}
 	})
 }

@@ -170,6 +170,17 @@ func (o *Ontology) ClassID(c Class) ClassID {
 	return NoClass
 }
 
+// ClassIDBytes is ClassID for an IRI held as bytes. It builds no
+// string, so a decoder can resolve an IRI it rebuilt in a scratch
+// buffer and take a declared class's string from ClassByID.
+func (o *Ontology) ClassIDBytes(b []byte) ClassID {
+	o.mustFrozen()
+	if id, ok := o.c.ids[Class(b)]; ok {
+		return id
+	}
+	return NoClass
+}
+
 // ClassByID returns the class interned as id, or "" when id is out of
 // range.
 func (o *Ontology) ClassByID(id ClassID) Class {

@@ -256,8 +256,15 @@ func TestClassIDRoundTrip(t *testing.T) {
 		if got := o.ClassByID(id); got != cl {
 			t.Fatalf("ClassByID(%d) = %s, want %s", id, got, cl)
 		}
+		b := []byte(cl)
+		if got := o.ClassIDBytes(b); got != id {
+			t.Fatalf("ClassIDBytes(%s) = %d, want %d", cl, got, id)
+		}
+		if n := testing.AllocsPerRun(10, func() { o.ClassIDBytes(b) }); n != 0 {
+			t.Fatalf("ClassIDBytes allocates %v times", n)
+		}
 	}
-	if o.ClassID(c("Nope")) != NoClass {
+	if o.ClassID(c("Nope")) != NoClass || o.ClassIDBytes([]byte(c("Nope"))) != NoClass {
 		t.Fatal("undeclared class got an ID")
 	}
 	if o.ClassByID(NoClass) != "" || o.ClassByID(ClassID(len(classes))) != "" {

@@ -12,6 +12,10 @@ type InternedTemplate struct {
 	Category        ontology.ClassID
 	RequiredOutputs []ontology.ClassID
 	ProvidedInputs  []ontology.ClassID
+	// Related is the category's subsumption closure (RelatedIDs),
+	// computed once for every use a query plan makes of it; nil for an
+	// undeclared category and for Thing, whose closure no index reads.
+	Related []ontology.ClassID
 }
 
 // Intern compiles the profile's match record (CompileRecord) against
@@ -51,6 +55,9 @@ func (t *Template) Intern(o *ontology.Ontology) {
 		Category:        o.ClassID(t.Category),
 		RequiredOutputs: internClasses(o, t.RequiredOutputs),
 		ProvidedInputs:  internClasses(o, t.ProvidedInputs),
+	}
+	if cat := t.itn.Category; cat != o.ThingID() {
+		t.itn.Related = o.RelatedIDs(cat)
 	}
 }
 

@@ -121,29 +121,24 @@ func (p *Profile) Clone() *Profile {
 	return &cp
 }
 
-const profileVersion = 1
-
 // Encode renders the profile in the compact binary form carried inside
-// advertisements. Map keys are sorted so encoding is deterministic.
+// advertisements (payload version 2: concept IRIs front-coded, see
+// iriWriter). Map keys are sorted so encoding is deterministic.
 func (p *Profile) Encode() []byte {
 	var w codec.Buffer
-	w.Byte(profileVersion)
+	var iw iriWriter
+	w.Byte(versionFront)
 	w.String(p.ServiceIRI)
 	w.String(p.Name)
 	w.String(p.Text)
-	w.String(string(p.Category))
-	w.StringSlice(classesToStrings(p.Inputs))
-	w.StringSlice(classesToStrings(p.Outputs))
-	keys := make([]string, 0, len(p.QoS))
-	for k := range p.QoS {
-		keys = append(keys, k)
+	iw.write(&w, string(p.Category))
+	for _, cs := range [][]ontology.Class{p.Inputs, p.Outputs} {
+		w.Uvarint(uint64(len(cs)))
+		for _, c := range cs {
+			iw.write(&w, string(c))
+		}
 	}
-	sort.Strings(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.Float64(p.QoS[k])
-	}
+	writeQoS(&w, p.QoS)
 	w.String(p.Grounding)
 	if p.Coverage != nil {
 		w.Bool(true)
@@ -153,21 +148,34 @@ func (p *Profile) Encode() []byte {
 	} else {
 		w.Bool(false)
 	}
-	w.String(p.OntologyIRI)
+	iw.write(&w, p.OntologyIRI)
 	return w.Bytes()
 }
 
-// Decode parses an encoded profile, rejecting truncation, trailing
-// garbage and unknown versions.
+// writeQoS writes a QoS map or MinQoS map in attribute order.
+func writeQoS(w *codec.Buffer, qos map[string]float64) {
+	keys := make([]string, 0, len(qos))
+	for k := range qos {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	w.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		w.String(k)
+		w.Float64(qos[k])
+	}
+}
+
+// Decode parses an encoded profile of either payload version, rejecting
+// truncation, trailing garbage, unknown versions, non-finite numbers and
+// IRIs that rebuild past the expansion bound.
 func Decode(b []byte) (*Profile, error) {
 	r := codec.NewReader(b)
-	v, err := r.Byte()
+	v, err := readVersion(r)
 	if err != nil {
 		return nil, err
 	}
-	if v != profileVersion {
-		return nil, fmt.Errorf("profile: unsupported version %d", v)
-	}
+	ir := newIRIReader(v, len(b))
 	p := &Profile{}
 	if p.ServiceIRI, err = r.String(); err != nil {
 		return nil, err
@@ -178,41 +186,19 @@ func Decode(b []byte) (*Profile, error) {
 	if p.Text, err = r.String(); err != nil {
 		return nil, err
 	}
-	cat, err := r.String()
+	cat, _, err := ir.next(r)
 	if err != nil {
 		return nil, err
 	}
 	p.Category = ontology.Class(cat)
-	in, err := r.StringSlice()
-	if err != nil {
+	if p.Inputs, err = readClasses(r, &ir); err != nil {
 		return nil, err
 	}
-	p.Inputs = stringsToClasses(in)
-	out, err := r.StringSlice()
-	if err != nil {
+	if p.Outputs, err = readClasses(r, &ir); err != nil {
 		return nil, err
 	}
-	p.Outputs = stringsToClasses(out)
-	nq, err := r.Uvarint()
-	if err != nil {
+	if p.QoS, err = readQoS(r); err != nil {
 		return nil, err
-	}
-	if nq > 0 {
-		if nq > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("profile: QoS count %d exceeds payload", nq)
-		}
-		p.QoS = make(map[string]float64, nq)
-		for i := uint64(0); i < nq; i++ {
-			k, err := r.String()
-			if err != nil {
-				return nil, err
-			}
-			val, err := r.Float64()
-			if err != nil {
-				return nil, err
-			}
-			p.QoS[k] = val
-		}
 	}
 	if p.Grounding, err = r.String(); err != nil {
 		return nil, err
@@ -223,43 +209,63 @@ func Decode(b []byte) (*Profile, error) {
 	}
 	if hasCov {
 		var c Circle
-		if c.LatDeg, err = r.Float64(); err != nil {
-			return nil, err
-		}
-		if c.LonDeg, err = r.Float64(); err != nil {
-			return nil, err
-		}
-		if c.RadiusKm, err = r.Float64(); err != nil {
-			return nil, err
+		for _, f := range []*float64{&c.LatDeg, &c.LonDeg, &c.RadiusKm} {
+			if *f, err = readFinite(r, "coverage"); err != nil {
+				return nil, err
+			}
 		}
 		p.Coverage = &c
 	}
-	if p.OntologyIRI, err = r.String(); err != nil {
+	onto, _, err := ir.next(r)
+	if err != nil {
 		return nil, err
 	}
+	p.OntologyIRI = string(onto)
 	if err := r.Expect("profile"); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func classesToStrings(cs []ontology.Class) []string {
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = string(c)
+// readClasses reads a count-prefixed list of concept IRIs; nil when
+// empty.
+func readClasses(r *codec.Reader, ir *iriReader) ([]ontology.Class, error) {
+	n, err := r.Count()
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	return out
+	out := make([]ontology.Class, n)
+	for i := range out {
+		c, _, err := ir.next(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ontology.Class(c)
+	}
+	return out, nil
 }
 
-func stringsToClasses(ss []string) []ontology.Class {
-	if len(ss) == 0 {
-		return nil
+// readQoS reads what writeQoS wrote; nil when empty. A repeated
+// attribute keeps its last value.
+func readQoS(r *codec.Reader) (map[string]float64, error) {
+	nq, err := r.Uvarint()
+	if err != nil || nq == 0 {
+		return nil, err
 	}
-	out := make([]ontology.Class, len(ss))
-	for i, s := range ss {
-		out[i] = ontology.Class(s)
+	if nq > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("profile: QoS count %d exceeds payload", nq)
 	}
-	return out
+	qos := make(map[string]float64, nq)
+	for range nq {
+		k, err := r.String()
+		if err != nil {
+			return nil, err
+		}
+		if qos[k], err = readFinite(r, "QoS value"); err != nil {
+			return nil, err
+		}
+	}
+	return qos, nil
 }
 
 // Vocabulary IRIs for the RDF rendering of profiles (an OWL-S-shaped
@@ -375,25 +381,20 @@ type Point struct {
 	LatDeg, LonDeg float64
 }
 
-const templateVersion = 1
-
-// Encode renders the template for the wire.
+// Encode renders the template for the wire (payload version 2, like
+// Profile.Encode).
 func (t *Template) Encode() []byte {
 	var w codec.Buffer
-	w.Byte(templateVersion)
-	w.String(string(t.Category))
-	w.StringSlice(classesToStrings(t.RequiredOutputs))
-	w.StringSlice(classesToStrings(t.ProvidedInputs))
-	keys := make([]string, 0, len(t.MinQoS))
-	for k := range t.MinQoS {
-		keys = append(keys, k)
+	var iw iriWriter
+	w.Byte(versionFront)
+	iw.write(&w, string(t.Category))
+	for _, cs := range [][]ontology.Class{t.RequiredOutputs, t.ProvidedInputs} {
+		w.Uvarint(uint64(len(cs)))
+		for _, c := range cs {
+			iw.write(&w, string(c))
+		}
 	}
-	sort.Strings(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.Float64(t.MinQoS[k])
-	}
+	writeQoS(&w, t.MinQoS)
 	w.StringSlice(t.Keywords)
 	if t.Near != nil {
 		w.Bool(true)
@@ -405,52 +406,29 @@ func (t *Template) Encode() []byte {
 	return w.Bytes()
 }
 
-// DecodeTemplate parses an encoded template.
+// DecodeTemplate parses an encoded template of either payload version,
+// with the rules Decode applies to a profile.
 func DecodeTemplate(b []byte) (*Template, error) {
 	r := codec.NewReader(b)
-	v, err := r.Byte()
+	v, err := readVersion(r)
 	if err != nil {
 		return nil, err
 	}
-	if v != templateVersion {
-		return nil, fmt.Errorf("profile: unsupported template version %d", v)
-	}
+	ir := newIRIReader(v, len(b))
 	t := &Template{}
-	cat, err := r.String()
+	cat, _, err := ir.next(r)
 	if err != nil {
 		return nil, err
 	}
 	t.Category = ontology.Class(cat)
-	ro, err := r.StringSlice()
-	if err != nil {
+	if t.RequiredOutputs, err = readClasses(r, &ir); err != nil {
 		return nil, err
 	}
-	t.RequiredOutputs = stringsToClasses(ro)
-	pi, err := r.StringSlice()
-	if err != nil {
+	if t.ProvidedInputs, err = readClasses(r, &ir); err != nil {
 		return nil, err
 	}
-	t.ProvidedInputs = stringsToClasses(pi)
-	nq, err := r.Uvarint()
-	if err != nil {
+	if t.MinQoS, err = readQoS(r); err != nil {
 		return nil, err
-	}
-	if nq > 0 {
-		if nq > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("profile: MinQoS count %d exceeds payload", nq)
-		}
-		t.MinQoS = make(map[string]float64, nq)
-		for i := uint64(0); i < nq; i++ {
-			k, err := r.String()
-			if err != nil {
-				return nil, err
-			}
-			val, err := r.Float64()
-			if err != nil {
-				return nil, err
-			}
-			t.MinQoS[k] = val
-		}
 	}
 	if t.Keywords, err = r.StringSlice(); err != nil {
 		return nil, err
@@ -461,11 +439,10 @@ func DecodeTemplate(b []byte) (*Template, error) {
 	}
 	if hasNear {
 		var pt Point
-		if pt.LatDeg, err = r.Float64(); err != nil {
-			return nil, err
-		}
-		if pt.LonDeg, err = r.Float64(); err != nil {
-			return nil, err
+		for _, f := range []*float64{&pt.LatDeg, &pt.LonDeg} {
+			if *f, err = readFinite(r, "Near"); err != nil {
+				return nil, err
+			}
 		}
 		t.Near = &pt
 	}

@@ -207,10 +207,10 @@ func TestBinarySmallerThanRDF(t *testing.T) {
 	}
 }
 
-// TestDecodeRecordEqualsCompile: decoding a payload straight into its
-// record gives the record Compile builds from the decoded profile, bar
-// the payload it keeps; every truncation of the payload fails both
-// decoders alike.
+// TestDecodeRecordEqualsCompile: decoding a payload of either version
+// straight into its record gives the record Compile builds from the
+// decoded profile, bar the payload it keeps; every truncation of the
+// payload fails both decoders alike.
 func TestDecodeRecordEqualsCompile(t *testing.T) {
 	o := ontology.New(ns)
 	for _, c := range []string{"Radar", "Track", "Image", "AreaOfInterest"} {
@@ -223,8 +223,11 @@ func TestDecodeRecordEqualsCompile(t *testing.T) {
 	wide.Inputs = append(wide.Inputs, ontology.Class(ns+"Ghost"))
 	wide.Outputs = append(wide.Outputs, ontology.Class(ns+"Blob"), ontology.Thing, "")
 	wide.QoS = map[string]float64{"accuracy": 0.9, "latency": 3, "updateHz": 4, "cost": 2}
+	var payloads [][]byte
 	for _, p := range []*Profile{sampleProfile(), wide, {}} {
-		enc := p.Encode()
+		payloads = append(payloads, encodeWhole(p), p.Encode())
+	}
+	for _, enc := range payloads {
 		var got Record
 		if err := DecodeRecord(enc, o, &got); err != nil {
 			t.Fatal(err)

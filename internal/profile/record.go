@@ -27,7 +27,7 @@ const (
 // concepts keep their IRI (in the side table), which is all the
 // matcher's string rules need. The record also carries the service
 // IRI, grounding and category IRI; one decoded by DecodeRecord keeps
-// its payload in Source and every string field is a view of it.
+// its payload in Source (see DecodeRecord for where its strings live).
 //
 // A Record is immutable once built and may be copied by value; copies
 // share the side table.
@@ -111,11 +111,11 @@ func CompileRecord(p *Profile, o *ontology.Ontology, r *Record) {
 		Category:   p.Category,
 	}
 	for _, c := range p.Inputs {
-		r.addConcept(c)
+		r.addConcept(c, o.ClassID(c))
 		r.nIn++
 	}
 	for _, c := range p.Outputs {
-		r.addConcept(c)
+		r.addConcept(c, o.ClassID(c))
 		r.nOut++
 	}
 	for k, v := range p.QoS {
@@ -127,23 +127,25 @@ func CompileRecord(p *Profile, o *ontology.Ontology, r *Record) {
 	}
 }
 
-// DecodeRecord decodes an encoded profile (Profile.Encode) straight
-// into its match record against the frozen ontology o, without building
-// a Profile. It accepts exactly the payloads Decode accepts, and the
-// record equals CompileRecord of what Decode returns. The payload is
-// copied once, into r.Source; Name, Text and OntologyIRI are skipped.
+// DecodeRecord decodes an encoded profile (Profile.Encode, either
+// payload version) straight into its match record against the frozen
+// ontology o, without building a Profile. It accepts exactly the
+// payloads Decode accepts, and the record equals CompileRecord of what
+// Decode returns. The payload is copied once, into r.Source; the
+// service IRI, grounding and undeclared IRIs written whole are views of
+// it, a declared concept's IRI is the ontology's string, and only an
+// undeclared IRI rebuilt from a shared prefix allocates. Name, Text and
+// OntologyIRI are skipped.
 func DecodeRecord(b []byte, o *ontology.Ontology, r *Record) error {
 	src := string(b)
 	*r = Record{onto: o, Source: src}
 	var rd codec.Reader
 	rd.Reset(b)
-	v, err := rd.Byte()
+	v, err := readVersion(&rd)
 	if err != nil {
 		return err
 	}
-	if v != profileVersion {
-		return fmt.Errorf("profile: unsupported version %d", v)
-	}
+	ir := newIRIReader(v, len(b))
 	if r.ServiceIRI, err = rd.View(src); err != nil {
 		return err
 	}
@@ -152,23 +154,20 @@ func DecodeRecord(b []byte, o *ontology.Ontology, r *Record) error {
 			return err
 		}
 	}
-	cat, err := rd.View(src)
-	if err != nil {
+	if r.Category, r.category, err = r.readClass(&rd, &ir, src); err != nil {
 		return err
 	}
-	r.Category = ontology.Class(cat)
-	r.category = o.ClassID(r.Category)
 	for _, n := range []*int32{&r.nIn, &r.nOut} {
 		count, err := rd.Count()
 		if err != nil {
 			return err
 		}
 		for range count {
-			c, err := rd.View(src)
+			c, id, err := r.readClass(&rd, &ir, src)
 			if err != nil {
 				return err
 			}
-			r.addConcept(ontology.Class(c))
+			r.addConcept(c, id)
 			*n++
 		}
 	}
@@ -184,7 +183,7 @@ func DecodeRecord(b []byte, o *ontology.Ontology, r *Record) error {
 		if err != nil {
 			return err
 		}
-		val, err := rd.Float64()
+		val, err := readFinite(&rd, "QoS value")
 		if err != nil {
 			return err
 		}
@@ -199,21 +198,39 @@ func DecodeRecord(b []byte, o *ontology.Ontology, r *Record) error {
 	}
 	if r.covered {
 		for _, f := range []*float64{&r.coverage.LatDeg, &r.coverage.LonDeg, &r.coverage.RadiusKm} {
-			if *f, err = rd.Float64(); err != nil {
+			if *f, err = readFinite(&rd, "coverage"); err != nil {
 				return err
 			}
 		}
 	}
-	if _, err := rd.BytesVar(); err != nil { // OntologyIRI
+	if _, _, err := ir.next(&rd); err != nil { // OntologyIRI
 		return err
 	}
 	return rd.Expect("profile")
 }
 
+// readClass reads the next concept IRI and resolves it against the
+// record's ontology by its bytes. A declared class's IRI is the
+// ontology's string; an undeclared one is a view of src when the
+// payload holds it whole, and a fresh string when it was rebuilt.
+func (r *Record) readClass(rd *codec.Reader, ir *iriReader, src string) (ontology.Class, ontology.ClassID, error) {
+	iri, whole, err := ir.next(rd)
+	if err != nil {
+		return "", ontology.NoClass, err
+	}
+	if id := r.onto.ClassIDBytes(iri); id != ontology.NoClass {
+		return r.onto.ClassByID(id), id, nil
+	}
+	if whole {
+		end := len(src) - rd.Remaining()
+		return ontology.Class(src[end-len(iri) : end]), ontology.NoClass, nil
+	}
+	return ontology.Class(iri), ontology.NoClass, nil
+}
+
 // addConcept appends the next concept, inputs first, then outputs; the
 // caller counts it in nIn or nOut afterwards.
-func (r *Record) addConcept(iri ontology.Class) {
-	id := r.onto.ClassID(iri)
+func (r *Record) addConcept(iri ontology.Class, id ontology.ClassID) {
 	n := int(r.nIn + r.nOut)
 	switch e := r.ext; {
 	case e != nil && e.concepts != nil:

@@ -19,7 +19,7 @@ import (
 var heapBytesPerAdvert = map[describe.Kind]float64{
 	describe.KindURI:      1127,
 	describe.KindKV:       1509,
-	describe.KindSemantic: 1685,
+	describe.KindSemantic: 1424,
 }
 
 // TestHeapBytesPerAdvert gates the resident cost of an advert per

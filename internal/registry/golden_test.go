@@ -12,13 +12,15 @@ import (
 	"semdisco/internal/uuid"
 )
 
-// update rewrites the committed WAL corpus by replaying the script:
+// update rewrites the current WAL corpus by replaying the script:
 // go test ./internal/registry -run TestGolden -update
-var update = flag.Bool("update", false, "rewrite testdata/wal-v1 from the scripted history")
+var update = flag.Bool("update", false, "rewrite testdata/wal-v2 from the scripted history")
 
 // goldenWAL names the fixed identities of the scripted history behind
-// testdata/wal-v1. Between them the script appends every record type
-// the log has.
+// testdata/wal-v1 and testdata/wal-v2. Between them the script appends
+// every record type the log has. The two corpora hold the same history;
+// wal-v1 was written while Profile.Encode wrote payload version 1 and
+// is kept as it was, so recovery must keep reading those payloads.
 type goldenWAL struct {
 	prov, a, b, c, d, e, f uuid.UUID
 	s1, s2, s3, s4, s5     uuid.UUID
@@ -157,9 +159,10 @@ type goldenAdvert struct {
 
 // TestGoldenWAL pins the on-disk formats — log records, the torn-tail
 // rule and the snapFormatV1 snapshot — to committed directories. The
-// script must regenerate every file byte for byte, and recovering each
-// committed directory (from a copy: recovery appends) must rebuild
-// exactly the state written down here.
+// script must regenerate every file of testdata/wal-v2 byte for byte,
+// and recovering each committed directory of wal-v2 and of the frozen
+// wal-v1 (from a copy: recovery appends) must rebuild exactly the state
+// written down here.
 func TestGoldenWAL(t *testing.T) {
 	g := newGoldenWAL()
 	for _, tc := range []struct {
@@ -194,14 +197,14 @@ func TestGoldenWAL(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			corpus := filepath.Join("testdata", "wal-v1", tc.name)
+			current := filepath.Join("testdata", "wal-v2", tc.name)
 			if *update {
-				if err := os.RemoveAll(corpus); err != nil {
+				if err := os.RemoveAll(current); err != nil {
 					t.Fatal(err)
 				}
-				g.build(t, tc.name, corpus)
+				g.build(t, tc.name, current)
 			}
-			want := readDirFiles(t, corpus)
+			want := readDirFiles(t, current)
 
 			regen := t.TempDir()
 			g.build(t, tc.name, regen)
@@ -215,40 +218,95 @@ func TestGoldenWAL(t *testing.T) {
 				}
 			}
 
-			dir := t.TempDir()
-			for name, b := range want {
-				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-					t.Fatal(err)
+			for _, corpus := range []string{filepath.Join("testdata", "wal-v1", tc.name), current} {
+				st, stats := recoverCopy(t, readDirFiles(t, corpus), tc.now)
+				if stats != tc.stats {
+					t.Fatalf("%s: RecoveryStats = %+v, want %+v", corpus, stats, tc.stats)
+				}
+				advs := st.Adverts()
+				if len(advs) != len(tc.adverts) {
+					t.Fatalf("%s: recovered %d adverts, want %d", corpus, len(advs), len(tc.adverts))
+				}
+				for _, a := range advs {
+					wa, ok := tc.adverts[a.ID]
+					deadline, _ := st.LeaseDeadline(a.ID)
+					if !ok || a.Version != wa.version || !deadline.Equal(wa.deadline) {
+						t.Fatalf("%s: advert %v: v%d until %v, want %+v (held: %v)", corpus, a.ID, a.Version, deadline, wa, ok)
+					}
+				}
+				subs := st.durableSubs()
+				if len(subs) != len(tc.subs) {
+					t.Fatalf("%s: recovered %d subscriptions, want %d", corpus, len(subs), len(tc.subs))
+				}
+				for _, s := range subs {
+					exp, ok := tc.subs[s.id]
+					if !ok || !s.expires.Equal(exp) || s.notify != "lan0/notify" {
+						t.Fatalf("%s: subscription %v: expires %v notify %q, want %v (held: %v)", corpus, s.id, s.expires, s.notify, exp, ok)
+					}
 				}
 			}
-			st, w, stats, err := Recover(WALConfig{Dir: dir, SnapshotEvery: -1, NewStore: walFactory(t), Now: func() time.Time { return tc.now }})
-			if err != nil {
-				t.Fatal(err)
+		})
+	}
+}
+
+// recoverCopy recovers a store from a copy of a corpus directory's
+// files (recovery appends) with the boot clock at now.
+func recoverCopy(t *testing.T, files map[string][]byte, now time.Time) (*Store, RecoveryStats) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, w, stats, err := Recover(WALConfig{Dir: dir, SnapshotEvery: -1, NewStore: walFactory(t), Now: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	stats.Elapsed = 0
+	return st, stats
+}
+
+// TestRecoverSkipsRejectedAdvert: testdata/wal-inf was written while
+// the decoders still accepted non-finite QoS values (payload version
+// 1). Both directories hold publishes of a (Radar), inf (Camera,
+// accuracy +Inf), a renew of inf and c (Sensor); "snap" has them in a
+// snapshot, then d (Track) and a second renew of inf in the log. The
+// store now rejects inf's payload, so recovery must skip that advert —
+// logged and counted in registry.wal.recover_rejected — and boot with
+// the rest, which also shows version 1 logs and snapshots still load.
+func TestRecoverSkipsRejectedAdvert(t *testing.T) {
+	gen := uuid.NewGenerator(20261019)
+	gen.New() // provider
+	a, inf, c, d := gen.New(), gen.New(), gen.New(), gen.New()
+	for _, tc := range []struct {
+		name  string
+		stats RecoveryStats
+		live  []uuid.UUID
+	}{
+		{"log", RecoveryStats{Replayed: 4, Adverts: 2}, []uuid.UUID{a, c}},
+		{"snap", RecoveryStats{SnapshotLSN: 4, SnapshotAdverts: 3, Replayed: 2, Adverts: 3}, []uuid.UUID{a, c, d}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := mWALRecoverRejected.Load()
+			st, stats := recoverCopy(t, readDirFiles(t, filepath.Join("testdata", "wal-inf", tc.name)), sec(10))
+			if n := mWALRecoverRejected.Load() - before; n != 1 {
+				t.Fatalf("registry.wal.recover_rejected moved by %d, want 1", n)
 			}
-			defer w.Close()
-			stats.Elapsed = 0
 			if stats != tc.stats {
 				t.Fatalf("RecoveryStats = %+v, want %+v", stats, tc.stats)
 			}
-			advs := st.Adverts()
-			if len(advs) != len(tc.adverts) {
-				t.Fatalf("recovered %d adverts, want %d", len(advs), len(tc.adverts))
+			var got []uuid.UUID
+			for _, adv := range st.Adverts() {
+				got = append(got, adv.ID)
 			}
-			for _, a := range advs {
-				wa, ok := tc.adverts[a.ID]
-				deadline, _ := st.LeaseDeadline(a.ID)
-				if !ok || a.Version != wa.version || !deadline.Equal(wa.deadline) {
-					t.Fatalf("advert %v: v%d until %v, want %+v (held: %v)", a.ID, a.Version, deadline, wa, ok)
-				}
+			if _, ok := st.LeaseDeadline(inf); ok || len(got) != len(tc.live) {
+				t.Fatalf("recovered %v, want exactly %v", got, tc.live)
 			}
-			subs := st.durableSubs()
-			if len(subs) != len(tc.subs) {
-				t.Fatalf("recovered %d subscriptions, want %d", len(subs), len(tc.subs))
-			}
-			for _, s := range subs {
-				exp, ok := tc.subs[s.id]
-				if !ok || !s.expires.Equal(exp) || s.notify != "lan0/notify" {
-					t.Fatalf("subscription %v: expires %v notify %q, want %v (held: %v)", s.id, s.expires, s.notify, exp, ok)
+			for _, id := range tc.live {
+				if _, ok := st.LeaseDeadline(id); !ok {
+					t.Fatalf("recovered %v, want exactly %v", got, tc.live)
 				}
 			}
 		})

@@ -82,6 +82,8 @@ var (
 		"log records replayed at recovery")
 	mWALTorn = obs.NewCounter("registry.wal.replay.torn", "count",
 		"torn or corrupt log frames discarded at recovery (crash tails)")
+	mWALRecoverRejected = obs.NewCounter("registry.wal.recover_rejected", "count",
+		"logged or snapshotted adverts skipped at recovery because the models reject their payload")
 	mSnapshotWrites = obs.NewCounter("registry.snapshot.writes", "count",
 		"compacted snapshots written")
 	mSnapshotErrors = obs.NewCounter("registry.snapshot.errors", "count",

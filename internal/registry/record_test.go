@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -17,24 +18,24 @@ import (
 )
 
 // TestNaNQoSFailsEveryFloor: a QoS floor holds only when the value is
-// at least the floor, so an advert whose value is NaN clears no floor on
-// that attribute, and a NaN floor is cleared by no advert. (A NaN value
-// used to pass every floor, and its NaN score broke the ranking order.)
+// at least the floor. A NaN value or floor never is, and neither
+// reaches the matcher: the decoders reject non-finite numbers, so an
+// advert holding one is refused at publish and a query holding one
+// fails to decode. (A NaN value used to pass every floor, and its NaN
+// score broke the ranking order.)
 func TestNaNQoSFailsEveryFloor(t *testing.T) {
 	s := newStore(t)
 	for iri, acc := range map[string]float64{"urn:svc:nan": math.NaN(), "urn:svc:good": 0.95, "urn:svc:poor": 0.2} {
 		p := &profile.Profile{ServiceIRI: iri, Category: c("Radar"), Grounding: "urn:g", QoS: map[string]float64{"accuracy": acc}}
 		adv := wire.Advertisement{ID: gen.New(), Kind: describe.KindSemantic, Payload: p.Encode(), LeaseMillis: 60_000, Version: 1}
-		if _, _, err := s.Publish(adv, t0); err != nil {
-			t.Fatal(err)
+		_, _, err := s.Publish(adv, t0)
+		if wantErr := math.IsNaN(acc); (err != nil) != wantErr || (wantErr && !errors.Is(err, ErrBadPayload)) {
+			t.Fatalf("publish %s: %v", iri, err)
 		}
 	}
-	query := func(floor float64) []string {
+	query := func(floor float64) ([]string, error) {
 		q := &describe.SemanticQuery{Template: &profile.Template{Category: c("Sensor"), MinQoS: map[string]float64{"accuracy": floor}}, MinDegree: match.Subsumed}
 		out, err := s.Evaluate(describe.KindSemantic, q.Encode(), QueryOptions{NoCache: true}, t0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var keys []string
 		for _, a := range out {
 			d, err := s.Models().DecodeDescription(a.Kind, a.Payload)
@@ -43,21 +44,22 @@ func TestNaNQoSFailsEveryFloor(t *testing.T) {
 			}
 			keys = append(keys, d.ServiceKey())
 		}
-		return keys
+		return keys, err
 	}
-	if got := query(0.9); len(got) != 1 || got[0] != "urn:svc:good" {
-		t.Fatalf("MinQoS accuracy 0.9 returned %v, want only urn:svc:good", got)
+	if got, err := query(0.9); err != nil || len(got) != 1 || got[0] != "urn:svc:good" {
+		t.Fatalf("MinQoS accuracy 0.9 returned %v, %v, want only urn:svc:good", got, err)
 	}
-	if got := query(math.NaN()); len(got) != 0 {
-		t.Fatalf("a NaN floor returned %v, want nothing", got)
+	if got, err := query(math.NaN()); err == nil || len(got) != 0 {
+		t.Fatalf("a NaN floor returned %v, %v, want a decode error", got, err)
 	}
 }
 
 // coldEvaluateBytes is what one uncached Evaluate allocates on
 // TestColdEvaluateBytes's population since adverts are held as match
-// records, the top-K is preallocated and the query's token closure is
-// built from class IDs (go1.24, linux/amd64).
-const coldEvaluateBytes = 4365
+// records, the top-K is preallocated, the query's token closure is
+// built from class IDs and computed once per plan (go1.24,
+// linux/amd64).
+const coldEvaluateBytes = 4306
 
 // TestColdEvaluateBytes gates the bytes one Evaluate allocates with the
 // plan and result caches off, on the population and template grid of

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"slices"
@@ -963,7 +964,9 @@ func readFrame(br *bufio.Reader) (frame []byte, torn bool, err error) {
 // mutation methods, skipping records at or below the after watermark
 // (already covered by the snapshot). Stale-version publishes and
 // renews/removes of unknown IDs are tolerated: under concurrency the
-// log is one valid linearization and such records are no-ops in it.
+// log is one valid linearization and such records are no-ops in it. A
+// publish whose payload the models now reject is skipped, logged and
+// counted, so a stricter decoder never leaves an old log unbootable.
 func (s *Store) applyRecord(frame []byte, after uint64) (uint64, error) {
 	r := codec.NewReader(frame)
 	typ, err := r.Byte()
@@ -990,7 +993,14 @@ func (s *Store) applyRecord(frame []byte, after uint64) (uint64, error) {
 		if err != nil {
 			return lsn, err
 		}
-		if _, _, err := s.Publish(adv, time.Unix(0, nano)); err != nil && !errors.Is(err, ErrStaleVersion) {
+		switch _, _, err := s.Publish(adv, time.Unix(0, nano)); {
+		case errors.Is(err, ErrBadPayload):
+			// The models reject what an older build accepted and logged.
+			// Soft state covers the loss: the service re-publishes within
+			// one lease.
+			mWALRecoverRejected.Inc()
+			log.Printf("registry: recovery skips advert %v (lsn %d): %v", adv.ID, lsn, err)
+		case err != nil && !errors.Is(err, ErrStaleVersion):
 			return lsn, err
 		}
 	case recRenew:

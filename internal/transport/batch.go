@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"semdisco/internal/codec"
 	"semdisco/internal/obs"
 	"semdisco/internal/wire"
 )
@@ -168,7 +169,7 @@ func (b *Batcher) Unicast(to Addr, data []byte) error {
 	// so a coalesced datagram never exceeds the MTU bound.
 	var spill [][]byte
 	if len(q.frames) > 0 &&
-		q.bytes+q.prefix+len(data)+wire.UvarintLen(uint64(len(data)))+
+		q.bytes+q.prefix+len(data)+codec.UvarintLen(uint64(len(data)))+
 			wire.BatchOverhead(len(q.frames)+1, nil) > b.cfg.MaxBytes {
 		spill = q.frames
 		q.frames, q.bytes, q.prefix = nil, 0, 0
@@ -176,7 +177,7 @@ func (b *Batcher) Unicast(to Addr, data []byte) error {
 	}
 	q.frames = append(q.frames, data)
 	q.bytes += len(data)
-	q.prefix += wire.UvarintLen(uint64(len(data)))
+	q.prefix += codec.UvarintLen(uint64(len(data)))
 	mBatchQueued.Inc()
 	if len(q.frames) >= b.cfg.MaxMessages {
 		out := b.takeLocked(to)

@@ -76,23 +76,11 @@ func EncodeBatch(frames [][]byte) []byte {
 // payload bytes adds over sending the frames back to back; batchers use
 // it for flush-on-size accounting without encoding twice.
 func BatchOverhead(n int, frameLens []int) int {
-	over := batchHeaderLen + UvarintLen(uint64(n))
+	over := batchHeaderLen + codec.UvarintLen(uint64(n))
 	for _, l := range frameLens {
-		over += UvarintLen(uint64(l))
+		over += codec.UvarintLen(uint64(l))
 	}
 	return over
-}
-
-// UvarintLen returns the encoded size of v as a uvarint. Batchers use it
-// with BatchOverhead to account for a candidate frame's length prefix
-// incrementally, without re-walking their queues.
-func UvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // ForEachInBatch walks a batch frame, calling fn once per inner envelope

@@ -77,7 +77,8 @@ for wl in "${workloads[@]}"; do
 		printf '\r%s: pair %d/%d' "$wl" "$i" "$pairs" >&2
 	done
 	printf '\r' >&2
-	clean=$(cat "$dir"/out/"$wl".{parent,change}.*.json | grep -c '"correct":true,"attempted":[0-9]*,"failed":0,' || true)
+	clean=$(for ((i = 1; i <= pairs; i++)); do cat "$dir/out/$wl.parent.$i.json" "$dir/out/$wl.change.$i.json"; done |
+		grep -c '"correct":true,"attempted":[0-9]*,"failed":0,' || true)
 	echo "$wl — $pairs pairs, parent $sha vs working tree, seed $seed, ${seconds} s, --trace 0; $clean of $((2 * pairs)) runs passed their output checks with 0 failed ops"
 	printf '  %-18s %-6s %28s %28s %8s %6s  %s\n' metric better "parent median [q1..q3]" "change median [q1..q3]" ratio won "every change run better"
 	for m in "${metrics[@]}"; do
