@@ -76,6 +76,8 @@ var (
 		"durability waits satisfied by another caller's barrier (group-commit batching)")
 	mWALFsyncLatency = obs.NewHistogram("registry.wal.fsync.latency_us", "us",
 		"write-ahead log fsync barrier latency", obs.LatencyBucketsUS)
+	mWALPreallocExtends = obs.NewCounter("registry.wal.prealloc.extends", "count",
+		"write-ahead log segment chunks preallocated (one at segment open, one per extension)")
 	mWALSegments = obs.NewGauge("registry.wal.segments", "count",
 		"live write-ahead log segment files (sealed plus open)")
 	mWALReplayed = obs.NewCounter("registry.wal.replay.records", "count",

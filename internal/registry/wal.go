@@ -22,6 +22,14 @@ package registry
 // the frame in RecoveryStats.TornFrames, and opens a fresh segment
 // rather than appending after garbage.
 //
+// Segments are preallocated in walPreallocChunk steps, so the open
+// segment — and one a crash left behind — ends in zeros past its last
+// frame. A segment whose frames stop where only zeros remain therefore
+// ended cleanly; anything else after the last good frame is a tear.
+// Close and rotation truncate a segment to the bytes appended, and
+// recovery cuts a crashed segment's zeros off, so only the open
+// segment ever carries them.
+//
 // Recovery is exact state-machine replay: records are re-applied
 // through the real Store methods (Publish, Renew, Remove, Subscribe,
 // ExpireThrough, ...) with the wall-clock instants recorded at append
@@ -93,12 +101,23 @@ const (
 	snapPrefix     = "snap-"
 	snapSuffix     = ".snap"
 
+	// walPreallocChunk is the step by which a segment's file is
+	// preallocated: at open, and again whenever an append would reach
+	// past the allocated end. A barrier then never changes the file's
+	// size or allocates blocks, so its sync commits the frames and
+	// little else. The open segment's unused chunk is the disk cost.
+	walPreallocChunk = 4 << 20
+
 	// defaultSnapshotEvery is the record count between compactions when
 	// WALConfig.SnapshotEvery is zero: large enough that compaction I/O
 	// is rare, small enough that replay after a crash stays in the
 	// hundreds of milliseconds.
 	defaultSnapshotEvery = 100_000
 )
+
+// walPreallocate reserves segment space; a variable so tests can force
+// the no-fallocate fallback.
+var walPreallocate = preallocate
 
 // ErrWALClosed is returned by appends and syncs after Close (or after a
 // simulated crash in tests).
@@ -110,7 +129,8 @@ type WALConfig struct {
 	Dir string
 	// Fsync makes the durability barrier a real fsync; false flushes to
 	// the OS only (data survives a process crash but not a machine
-	// crash). Group commit batches concurrent barriers either way.
+	// crash). Group commit batches concurrent barriers either way, and
+	// segments are preallocated either way.
 	Fsync bool
 	// SnapshotEvery is the appended-record count between compacted
 	// snapshots; zero means 100k, negative disables snapshots (the log
@@ -154,6 +174,8 @@ type WAL struct {
 	mu         sync.Mutex
 	f          *os.File
 	bw         *bufio.Writer
+	written    int64    // bytes appended to the open segment, buffered ones included
+	allocated  int64    // preallocated length of the open segment (0 = grows by appends)
 	lsn        uint64   // last assigned LSN
 	segStart   uint64   // first LSN of the open segment
 	sealed     []string // closed segments awaiting compaction, oldest first
@@ -340,27 +362,46 @@ func snapName(upTo uint64) string    { return fmt.Sprintf("%s%016x%s", snapPrefi
 // openSegmentLocked starts a fresh segment whose first record will be
 // firstLSN. O_TRUNC handles the one legal collision: a segment created
 // by a previous run that crashed before writing any complete frame.
-// The directory is synced once the file exists: POSIX does not promise
-// that fsyncing a file persists its directory entry, so without it the
-// acked records of a fresh segment could vanish with the segment's
-// name after a power loss.
+// The first chunk is preallocated before the directory is synced:
+// POSIX does not promise that fsyncing a file persists its directory
+// entry, so without it the acked records of a fresh segment could
+// vanish with the segment's name after a power loss.
 func (w *WAL) openSegmentLocked(firstLSN uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(firstLSN)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("registry: wal segment: %w", err)
 	}
-	syncDir(w.dir)
 	w.f = f
+	w.written, w.allocated = 0, 0
+	w.extendLocked(walPreallocChunk)
+	syncDir(w.dir)
 	w.bw = bufio.NewWriterSize(f, 1<<16)
 	w.segStart = firstLSN
 	mWALSegments.Set(int64(len(w.sealed) + 1))
 	return nil
 }
 
+// extendLocked preallocates whole chunks until the open segment holds
+// need bytes. Where fallocate is missing or fails, the segment grows by
+// appends from there on, as an unallocated one does (a full disk is
+// then the writes' error to report). The caller holds w.mu.
+func (w *WAL) extendLocked(need int64) {
+	for w.allocated < need {
+		if err := walPreallocate(w.f, w.allocated, walPreallocChunk); err != nil {
+			w.allocated = 0
+			return
+		}
+		w.allocated += walPreallocChunk
+		mWALPreallocExtends.Inc()
+	}
+}
+
 // append assigns the next LSN and buffers one framed record; build
 // writes the payload (type byte, LSN, fields). The caller holds the
 // store lock that ordered the mutation, so log order equals apply
-// order per key; nothing here may touch the disk beyond bufio.
+// order per key; nothing here may touch the disk beyond bufio, save
+// the fallocate that extends the segment once per walPreallocChunk
+// bytes (and a rotation once per snapshot interval).
 func (w *WAL) append(build func(lsn uint64, b *codec.Buffer)) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -379,6 +420,14 @@ func (w *WAL) append(build func(lsn uint64, b *codec.Buffer)) uint64 {
 	var hdr [walFrameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	n := int64(walFrameHeader + len(payload))
+	// Extending here, before the frame enters the buffer, keeps every
+	// byte bufio may write — on a barrier's flush or when the buffer
+	// fills — inside the allocation.
+	if w.allocated > 0 && w.written+n > w.allocated {
+		w.extendLocked(w.written + n)
+	}
+	w.written += n
 	if w.appendErr == nil {
 		if _, err := w.bw.Write(hdr[:]); err != nil {
 			w.appendErr = err
@@ -390,7 +439,7 @@ func (w *WAL) append(build func(lsn uint64, b *codec.Buffer)) uint64 {
 		}
 	}
 	mWALAppends.Inc()
-	mWALBytes.Add(uint64(walFrameHeader + len(payload)))
+	mWALBytes.Add(uint64(n))
 	walBufPool.Put(b)
 	w.sinceSnap++
 	if w.snapEvery > 0 && w.sinceSnap >= w.snapEvery && !w.compacting && w.appendErr == nil {
@@ -692,20 +741,11 @@ func (w *WAL) flushBarrier() (uint64, error) {
 	return target, nil
 }
 
-// rotateAndCompactLocked seals the open segment (flush, fsync, close)
-// and kicks off a background compaction covering everything up to the
-// last appended LSN. The caller holds w.mu; at most one compaction
-// runs at a time.
+// rotateAndCompactLocked seals the open segment and kicks off a
+// background compaction covering everything up to the last appended
+// LSN. The caller holds w.mu; at most one compaction runs at a time.
 func (w *WAL) rotateAndCompactLocked() {
-	if err := w.bw.Flush(); err != nil {
-		w.appendErr = err
-		return
-	}
-	if err := w.f.Sync(); err != nil {
-		w.appendErr = err
-		return
-	}
-	if err := w.f.Close(); err != nil {
+	if err := w.sealLocked(); err != nil {
 		w.appendErr = err
 		return
 	}
@@ -733,6 +773,23 @@ func (w *WAL) rotateAndCompactLocked() {
 		defer close(done)
 		w.compact(prevSnap, sealed, upTo)
 	}()
+}
+
+// sealLocked flushes the open segment, truncates its preallocated tail
+// so the file holds exactly the appended frames, fsyncs and closes it.
+// The caller holds w.mu.
+func (w *WAL) sealLocked() error {
+	err := w.bw.Flush()
+	if err == nil && w.allocated > 0 {
+		err = w.f.Truncate(w.written)
+	}
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // compact replays prevSnap + the sealed segments into a throwaway
@@ -837,10 +894,11 @@ func (w *WAL) Snapshot() error {
 	return nil
 }
 
-// Close flushes, fsyncs and closes the log, then settles every pending
-// Barrier completion — durable, or failed with the close error — before
-// returning. Mutating the store after Close loses those mutations'
-// records (appends and barriers fail sticky with ErrWALClosed).
+// Close seals the open segment (flush, truncate, fsync, close), then
+// settles every pending Barrier completion — durable, or failed with
+// the close error — before returning. Mutating the store after Close
+// loses those mutations' records (appends and barriers fail sticky
+// with ErrWALClosed).
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -851,13 +909,7 @@ func (w *WAL) Close() error {
 	w.closed = true
 	err := w.appendErr
 	if w.bw != nil {
-		if e := w.bw.Flush(); err == nil {
-			err = e
-		}
-		if e := w.f.Sync(); err == nil {
-			err = e
-		}
-		if e := w.f.Close(); err == nil {
+		if e := w.sealLocked(); err == nil {
 			err = e
 		}
 	}
@@ -880,9 +932,10 @@ func (w *WAL) Close() error {
 }
 
 // crash simulates a process kill for tests: the descriptor is closed
-// with the bufio buffer unflushed, losing exactly the records a real
-// crash would lose (including, possibly, a partially flushed frame —
-// the torn tail recovery must tolerate).
+// with the bufio buffer unflushed and the segment's preallocated zeros
+// left in place, losing exactly the records a real crash would lose
+// (including, possibly, a partially flushed frame — the torn tail
+// recovery must tolerate).
 func (w *WAL) crash() {
 	w.mu.Lock()
 	w.closed = true
@@ -902,8 +955,13 @@ func (w *WAL) crash() {
 }
 
 // replaySegment applies every record with LSN > after to st, in log
-// order. A torn tail (short frame or CRC mismatch) ends the segment
-// without error; corruption inside a CRC-valid frame is a real error.
+// order. A segment's frames end at the end of the file, or where only
+// zeros remain: the preallocated tail of a segment a crash left open,
+// which is cut off here so it costs no disk after the boot that finds
+// it. Any other bytes after the last good frame — a short frame, a CRC
+// mismatch, a zero header with data after it — are a torn tail, which
+// ends the segment without error and stays on disk; corruption inside
+// a CRC-valid frame is a real error.
 func replaySegment(st *Store, path string, after uint64) (last uint64, applied, torn int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -911,17 +969,31 @@ func replaySegment(st *Store, path string, after uint64) (last uint64, applied, 
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
+	var off int64 // end of the last good frame
 	for {
 		frame, terr, rerr := readFrame(br)
 		if rerr == io.EOF {
 			return last, applied, torn, nil
 		}
 		if terr {
-			return last, applied, torn + 1, nil
+			end, size, err := dataEnd(f, off)
+			if err != nil {
+				return last, applied, torn, err
+			}
+			if end > off {
+				torn++
+			}
+			if end < size {
+				// Only zeros go; a failed cut leaves them to read the
+				// same way at the next boot.
+				_ = os.Truncate(path, end)
+			}
+			return last, applied, torn, nil
 		}
 		if rerr != nil {
 			return last, applied, torn, rerr
 		}
+		off += int64(walFrameHeader + len(frame))
 		lsn, aerr := st.applyRecord(frame, after)
 		if aerr != nil {
 			return last, applied, torn, fmt.Errorf("lsn %d: %w", lsn, aerr)
@@ -935,8 +1007,33 @@ func replaySegment(st *Store, path string, after uint64) (last uint64, applied, 
 	}
 }
 
+// dataEnd returns the offset just past the last non-zero byte of f at
+// or after off (off itself when only zeros follow), and f's size.
+func dataEnd(f *os.File, off int64) (end, size int64, err error) {
+	buf := make([]byte, 64<<10)
+	end = off
+	for pos := off; ; {
+		n, rerr := f.ReadAt(buf, pos)
+		for i := n - 1; i >= 0; i-- {
+			if buf[i] != 0 {
+				end = pos + int64(i) + 1
+				break
+			}
+		}
+		pos += int64(n)
+		if rerr == io.EOF {
+			return end, pos, nil
+		}
+		if rerr != nil {
+			return 0, 0, rerr
+		}
+	}
+}
+
 // readFrame reads one length+CRC framed payload. torn=true flags a
-// frame cut short or failing its checksum — the crash signature.
+// frame cut short or failing its checksum — the crash signature — or
+// the zero header that starts a preallocated tail; replaySegment tells
+// the two apart.
 func readFrame(br *bufio.Reader) (frame []byte, torn bool, err error) {
 	var hdr [walFrameHeader]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
