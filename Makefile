@@ -122,9 +122,11 @@ bench-fed:
 bench-pairs:
 	bash scripts/bench_pairs.sh $(or $(PARENT),HEAD) $(or $(PAIRS),10) $(WORKLOADS)
 
-# Fails when OBSERVABILITY.md drifts from the metrics registered in code.
+# Fails when OBSERVABILITY.md drifts from the metrics registered in code,
+# or README.md's registryd flag table from the flags registryd registers.
 docs-check:
 	sh scripts/check_obs_docs.sh
+	sh scripts/check_flag_docs.sh
 
 # Non-test Go lines per package under cmd/, internal/ and examples/,
 # plus the total: the size figure simplicity changes quote.

@@ -16,9 +16,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -41,36 +43,48 @@ import (
 	"semdisco/internal/uuid"
 )
 
+// Everything a deployment does not choose is fixed here at the value
+// the harness measures: query evaluation on a GOMAXPROCS read pool, a
+// 256-entry store result cache, no gateway result cache, 1024-record
+// arena slabs, an fsynced WAL compacted every 100 000 records, and no
+// datagram batching.
 func main() {
 	var (
-		bind      = flag.String("bind", "127.0.0.1:0", "unicast listen address")
-		mcast     = flag.String("mcast", "239.77.77.77:7777", "LAN multicast group ('' disables)")
-		seeds     = flag.String("seed", "", "comma-separated peer registry addresses (WAN seeding)")
-		ontoPath  = flag.String("ontology", "", "Turtle taxonomy file (default: built-in sensor taxonomy)")
-		push      = flag.Bool("push", false, "replicate advertisements to peer registries")
-		summary   = flag.Bool("summaries", false, "gossip advertisement summaries and prune forwarding")
-		gateway   = flag.Bool("gateway", false, "coordinate one WAN gateway per LAN")
-		role      = flag.String("role", "standalone", "federation role: standalone, federated (domain gateway), or root (registry of registries)")
-		domain    = flag.String("domain", "", "federation namespace this gateway fronts (required with -role federated)")
-		rootAddr  = flag.String("root", "", "root registry address for directory-miss escalation")
-		leaseMax  = flag.Duration("lease-max", 10*time.Minute, "maximum granted lease")
-		leaseDef  = flag.Duration("lease-default", 30*time.Second, "default granted lease")
-		beacon    = flag.Duration("beacon", 5*time.Second, "beacon interval")
-		httpAddr  = flag.String("http", "", "serve /status and /ontology on this address ('' disables)")
-		statAddr  = flag.String("stats-addr", "", "serve runtime metrics on this address: /stats (text), /stats.json ('' disables)")
-		readers   = flag.Int("read-workers", stdruntime.GOMAXPROCS(0), "query evaluation workers (0 = evaluate on the node goroutine)")
-		qcacheLen = flag.Int("qcache-size", 256, "query result cache entries (generation-validated, always exact; negative disables)")
-		rcacheLen = flag.Int("rcache-size", 0, "gateway remote result cache entries (0 disables; reuse bounded by shortest advert lease)")
-		rcacheTTL = flag.Duration("rcache-ttl", 5*time.Second, "maximum reuse of a cached remote result set")
-		arenaSlab = flag.Int("arena-slab", 0, "advert arena slab size in records per shard (0 = 1024; raise for million-advert stores)")
-		walDir    = flag.String("wal-dir", "", "durable state directory: write-ahead log + snapshots ('' = memory-only, state lost on restart)")
-		walFsync  = flag.Bool("wal-fsync", true, "fsync the log before acknowledging mutations (group-commit batched); false flushes to the OS only")
-		batch     = flag.Bool("batch", false, "coalesce eligible high-rate messages (renews, acks, gossip) into shared datagrams via sendmmsg")
-		batchWait = flag.Duration("batch-delay", 2*time.Millisecond, "max time a batched message waits for companions")
-		snapEvery = flag.Int("snapshot-every", 0, "log records between compacted snapshots (0 = 100000, negative disables)")
-		verbose   = flag.Bool("v", false, "trace protocol activity")
+		bind     = flag.String("bind", "127.0.0.1:0", "unicast listen address")
+		mcast    = flag.String("mcast", "239.77.77.77:7777", "LAN multicast group ('' disables)")
+		seedList = flag.String("seed", "", "comma-separated peer registry addresses (WAN seeding)")
+		ontoPath = flag.String("ontology", "", "Turtle taxonomy file (default: built-in sensor taxonomy)")
+		push     = flag.Bool("push", false, "replicate advertisements to peer registries")
+		summary  = flag.Bool("summaries", false, "gossip advertisement summaries and prune forwarding")
+		gateway  = flag.Bool("gateway", false, "coordinate one WAN gateway per LAN")
+		role     = flag.String("role", "standalone", "federation role: standalone, federated (domain gateway), or root (registry of registries)")
+		domain   = flag.String("domain", "", "federation namespace this gateway fronts (required with -role federated)")
+		rootAddr = flag.String("root", "", "root registry address for directory-miss escalation")
+		leaseMax = flag.Duration("lease-max", 10*time.Minute, "maximum granted lease")
+		leaseDef = flag.Duration("lease-default", 30*time.Second, "default granted lease")
+		beacon   = flag.Duration("beacon", 5*time.Second, "beacon interval")
+		httpAddr = flag.String("http", "", "serve /status, /ontology, /stats and /stats.json on this address ('' disables)")
+		walDir   = flag.String("wal-dir", "", "durable state directory: write-ahead log + snapshots ('' = memory-only, state lost on restart)")
+		verbose  = flag.Bool("v", false, "trace protocol activity")
 	)
 	flag.Parse()
+
+	seeds, err := splitAddrs(*seedList)
+	if err != nil {
+		log.Fatalf("registryd: -seed: %v", err)
+	}
+	if *rootAddr != "" {
+		if *rootAddr, err = checkAddr(*rootAddr); err != nil {
+			log.Fatalf("registryd: -root: %v", err)
+		}
+	}
+	parsedRole, ok := federation.ParseRole(*role)
+	if !ok {
+		log.Fatalf("registryd: unknown -role %q (want standalone, federated or root)", *role)
+	}
+	if parsedRole == federation.RoleFederated && *domain == "" {
+		log.Fatal("registryd: -role federated requires -domain")
+	}
 
 	onto, err := loadOntology(*ontoPath)
 	if err != nil {
@@ -79,10 +93,8 @@ func main() {
 	models := describe.NewRegistry(describe.URIModel{}, describe.KVModel{}, describe.NewSemanticModel(onto))
 	mkStore := func() *registry.Store {
 		return registry.New(registry.Options{
-			Models:         models,
-			Leases:         lease.Policy{Max: *leaseMax, Default: *leaseDef},
-			QueryCacheSize: *qcacheLen,
-			ArenaSlab:      *arenaSlab,
+			Models: models,
+			Leases: lease.Policy{Max: *leaseMax, Default: *leaseDef},
 		})
 	}
 	var store *registry.Store
@@ -90,10 +102,9 @@ func main() {
 	if *walDir != "" {
 		var stats registry.RecoveryStats
 		store, wal, stats, err = registry.Recover(registry.WALConfig{
-			Dir:           *walDir,
-			Fsync:         *walFsync,
-			SnapshotEvery: *snapEvery,
-			NewStore:      mkStore,
+			Dir:      *walDir,
+			Fsync:    true,
+			NewStore: mkStore,
 		})
 		if err != nil {
 			log.Fatalf("registryd: %v", err)
@@ -112,22 +123,12 @@ func main() {
 	}
 	defer nodeio.Close()
 
-	var iface transport.Iface = nodeio
-	if *batch {
-		iface = transport.NewBatcher(nodeio, nodeio, transport.BatcherConfig{FlushDelay: *batchWait})
-	}
-	env := &runtime.Env{ID: uuid.New(), Iface: iface, Clock: nodeio, Gen: nil}
+	env := &runtime.Env{ID: uuid.New(), Iface: nodeio, Clock: nodeio, Gen: nil}
 	if *verbose {
 		env.Trace = func(format string, args ...any) { log.Printf("trace: "+format, args...) }
 	}
-	parsedRole, ok := federation.ParseRole(*role)
-	if !ok {
-		log.Fatalf("registryd: unknown -role %q (want standalone, federated or root)", *role)
-	}
-	if parsedRole == federation.RoleFederated && *domain == "" {
-		log.Fatal("registryd: -role federated requires -domain")
-	}
-	cfg := federation.Config{
+	reg := federation.New(env, store, federation.Config{
+		SeedAddrs:           seeds,
 		BeaconInterval:      *beacon,
 		PushReplication:     *push,
 		SummaryPruning:      *summary,
@@ -135,14 +136,8 @@ func main() {
 		Role:                parsedRole,
 		Domain:              *domain,
 		RootAddr:            *rootAddr,
-		ReadWorkers:         *readers,
-		ResultCacheSize:     *rcacheLen,
-		ResultCacheMaxTTL:   *rcacheTTL,
-	}
-	if *seeds != "" {
-		cfg.SeedAddrs = strings.Split(*seeds, ",")
-	}
-	reg := federation.New(env, store, cfg)
+		ReadWorkers:         stdruntime.GOMAXPROCS(0),
+	})
 	nodeio.SetHandler(func(from transport.Addr, data []byte) {
 		runtime.Dispatch(reg, env, from, data)
 	})
@@ -152,10 +147,7 @@ func main() {
 		env.ID.Short(), nodeio.Addr(), nodeio.MulticastReady(), onto.IRI, onto.NumClasses())
 
 	if *httpAddr != "" {
-		go serveStatus(*httpAddr, nodeio, reg, onto)
-	}
-	if *statAddr != "" {
-		go serveStats(*statAddr)
+		go serveHTTP(*httpAddr, nodeio, reg, onto)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -188,12 +180,48 @@ func main() {
 	}
 }
 
-// serveStatus exposes a read-only observability endpoint: GET /status
-// returns registry state as JSON, GET /ontology the Turtle taxonomy.
-// All registry access is funnelled through the node executor so the
-// HTTP handlers never race the protocol state machine.
-func serveStatus(addr string, nodeio *udpnet.Node, reg *federation.Registry, onto *ontology.Ontology) {
+// splitAddrs parses a comma-separated address list such as -seed's.
+// Each entry is trimmed and checked, so a stray space or comma fails at
+// start-up instead of leaving a peer silently unreachable.
+func splitAddrs(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var out []string
+	for _, a := range strings.Split(list, ",") {
+		a, err := checkAddr(a)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, a)
+	}
+	return out, nil
+}
+
+// checkAddr trims one peer address and resolves it as a UDP address;
+// the error names the entry that failed.
+func checkAddr(a string) (string, error) {
+	a = strings.TrimSpace(a)
+	if a == "" {
+		return "", errors.New("empty address")
+	}
+	if _, err := net.ResolveUDPAddr("udp", a); err != nil {
+		return "", fmt.Errorf("bad address %q: %w", a, err)
+	}
+	return a, nil
+}
+
+// serveHTTP exposes the read-only observability endpoints: GET /status
+// returns registry state as JSON, GET /ontology the Turtle taxonomy,
+// and GET /stats and /stats.json the process-wide runtime metrics (see
+// OBSERVABILITY.md). Registry access is funnelled through the node
+// executor so the handlers never race the protocol state machine; the
+// metrics are atomics and need no executor.
+func serveHTTP(addr string, nodeio *udpnet.Node, reg *federation.Registry, onto *ontology.Ontology) {
 	mux := http.NewServeMux()
+	stats := obs.Handler(obs.Default)
+	mux.Handle("/stats", stats)
+	mux.Handle("/stats.json", stats)
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		type peerJSON struct {
 			ID   string `json:"id"`
@@ -230,19 +258,9 @@ func serveStatus(addr string, nodeio *udpnet.Node, reg *federation.Registry, ont
 		w.Header().Set("Content-Type", "text/turtle; charset=utf-8")
 		w.Write(doc)
 	})
-	log.Printf("registryd: status endpoint on http://%s/status", addr)
+	log.Printf("registryd: status and stats endpoints on http://%s/", addr)
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		log.Printf("registryd: http endpoint failed: %v", err)
-	}
-}
-
-// serveStats exposes the process-wide runtime metric registry (counters,
-// gauges, latency histograms — see OBSERVABILITY.md). Metrics are
-// atomics, so this endpoint never touches the node executor.
-func serveStats(addr string) {
-	log.Printf("registryd: stats endpoint on http://%s/stats", addr)
-	if err := http.ListenAndServe(addr, obs.Handler(obs.Default)); err != nil {
-		log.Printf("registryd: stats endpoint failed: %v", err)
 	}
 }
 

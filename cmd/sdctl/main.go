@@ -11,7 +11,7 @@
 //	sdctl -registry 127.0.0.1:7701 artifact -iri <ontologyIRI>
 //	sdctl -registry 127.0.0.1:7701 put-artifact -iri <iri> -file taxonomy.ttl
 //	sdctl -mcast 239.77.77.77:7777 probe
-//	sdctl stats -addr 127.0.0.1:7778
+//	sdctl stats -addr 127.0.0.1:8701
 //
 // With -hold, publish keeps running and renews its lease until
 // interrupted; without it the advertisement ages out after one lease —
@@ -54,7 +54,7 @@ func main() {
 	}
 	cmd, rest := flag.Arg(0), flag.Args()[1:]
 
-	// stats only talks HTTP to a registryd -stats-addr endpoint; no UDP
+	// stats only talks HTTP to a registryd -http endpoint; no UDP
 	// node is needed, so handle it before binding sockets.
 	if cmd == "stats" {
 		runStats(rest, *timeout)
@@ -91,11 +91,11 @@ func main() {
 }
 
 // runStats fetches a registryd's runtime metric snapshot (the daemon
-// must run with -stats-addr) and prints it as aligned text; -json dumps
+// must run with -http) and prints it as aligned text; -json dumps
 // the raw snapshot instead. See OBSERVABILITY.md for the metric set.
 func runStats(args []string, timeout time.Duration) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:7778", "registryd -stats-addr endpoint")
+	addr := fs.String("addr", "127.0.0.1:8701", "registryd -http endpoint")
 	asJSON := fs.Bool("json", false, "print the raw JSON snapshot")
 	fs.Parse(args)
 	snap, err := obs.Fetch(*addr, timeout)

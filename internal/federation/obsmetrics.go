@@ -4,7 +4,7 @@ import "semdisco/internal/obs"
 
 // Runtime observability counters for the federation protocol loops.
 // They mirror the per-registry Stats struct into the process-wide obs
-// registry (so live registryd exposes them over -stats-addr and
+// registry (so live registryd exposes them over -http and
 // simdisco can diff them per phase) and add the beacon/summary/read-
 // pool activity Stats never carried. Documented in OBSERVABILITY.md.
 var (

@@ -4,7 +4,7 @@
 //
 // It is the end-of-run reporting layer, not runtime instrumentation:
 // live counters, gauges and latency histograms (what a running
-// registryd exposes over -stats-addr) live in internal/obs. A table
+// registryd exposes over -http) live in internal/obs. A table
 // here summarizes an experiment after it finished; an obs metric ticks
 // while the process runs.
 package metrics

@@ -12,8 +12,8 @@ import (
 //	GET /stats       aligned plain text (for humans and grep)
 //	GET /stats.json  the JSON document ParseJSON/Fetch decode
 //
-// registryd mounts it on -stats-addr; anything that can speak HTTP can
-// scrape it.
+// registryd mounts it on its -http listener; anything that can speak
+// HTTP can scrape it.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, req *http.Request) {

@@ -6,7 +6,7 @@
 // obs complements internal/metrics, which renders *end-of-run* result
 // tables for the experiment suite: metrics answers "what did the run
 // conclude", obs answers "what is the process doing right now". A live
-// registryd exposes the obs registry over HTTP (-stats-addr, see
+// registryd exposes the obs registry over HTTP (on -http, see
 // Handler), sdctl fetches and pretty-prints it (Fetch), and the
 // simdisco experiment runner prints per-phase snapshot diffs.
 //

@@ -106,11 +106,12 @@ func (ti *tokenInterner) size() int {
 	return len(ti.strs)
 }
 
-// defaultArenaSlab is the stored-record count per arena slab. 1024
-// records ≈ a few hundred kB per slab: big enough that a million-advert
-// shard allocates ~60 slabs instead of a million loose heap objects,
-// small enough that a near-empty store wastes little.
-const defaultArenaSlab = 1024
+// arenaSlab is the stored-record count per arena slab. 1024 records ≈
+// a few hundred kB per slab: big enough that a million-advert shard
+// allocates ~60 slabs instead of a million loose heap objects, small
+// enough that a near-empty store wastes little. Tests shrink a store's
+// slabs with setSlabSize to exercise growth on a few adverts.
+const arenaSlab = 1024
 
 // alloc hands out a zeroed stored record from the shard arena — the
 // free list first, then the bump pointer, growing by one slab when the

@@ -149,7 +149,7 @@ func TestLeasesMatchModel(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			ids := uuid.NewGenerator(uint64(seed))
-			s := New(Options{Models: describe.NewRegistry(describe.KVModel{}), Leases: policy, Shards: 4, ArenaSlab: 8})
+			s := setSlabSize(New(Options{Models: describe.NewRegistry(describe.KVModel{}), Leases: policy, Shards: 4}), 8)
 			m := &leaseModel{policy: policy, resident: map[uuid.UUID]*modelAdvert{}, bySvc: map[string]uuid.UUID{}}
 			var known []uuid.UUID // every ID ever published, resident or not
 			keys := map[uuid.UUID]string{}

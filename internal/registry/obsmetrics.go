@@ -16,8 +16,6 @@ var (
 		"local query evaluations")
 	mEvaluateLatency = obs.NewHistogram("registry.evaluate.latency_us", "us",
 		"local query evaluation latency", obs.LatencyBucketsUS)
-	mEvaluateFanout = obs.NewCounter("registry.evaluate.fanout", "count",
-		"evaluations that fanned out across shards on the worker pool")
 	mEvaluateTruncated = obs.NewCounter("registry.evaluate.truncated", "count",
 		"evaluations whose matches exceeded the result cap (top-K truncation)")
 	mMergeRank = obs.NewCounter("registry.mergerank", "count",
@@ -71,7 +69,7 @@ var (
 	mWALBytes = obs.NewCounter("registry.wal.bytes", "bytes",
 		"bytes appended to the write-ahead log, frame headers included")
 	mWALFsyncs = obs.NewCounter("registry.wal.fsyncs", "count",
-		"group-commit durability barriers issued (flush, plus fsync when -wal-fsync)")
+		"group-commit durability barriers issued (flush, plus fsync when WALConfig.Fsync)")
 	mWALSyncShared = obs.NewCounter("registry.wal.sync.shared", "count",
 		"durability waits satisfied by another caller's barrier (group-commit batching)")
 	mWALFsyncLatency = obs.NewHistogram("registry.wal.fsync.latency_us", "us",

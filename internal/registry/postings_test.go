@@ -93,10 +93,10 @@ func TestIndexedEvaluateMatchesScan(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			onto := candidateOntology(t)
 			models := describe.NewRegistry(describe.URIModel{}, describe.KVModel{}, describe.NewSemanticModel(onto))
-			s := New(Options{
+			s := setSlabSize(New(Options{
 				Models: models, Leases: lease.Policy{Max: time.Hour},
-				Shards: 4, ArenaSlab: 16, DefaultMaxResults: 7,
-			})
+				Shards: 4, DefaultMaxResults: 7,
+			}), 16)
 			rng := rand.New(rand.NewSource(seed))
 			ids := uuid.NewGenerator(uint64(seed))
 

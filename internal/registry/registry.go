@@ -41,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	stdruntime "runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -309,11 +308,6 @@ type Options struct {
 	// posting-list index. It exists as the property-tested baseline;
 	// production stores leave it false.
 	DisableSubIndex bool
-	// ArenaSlab is the per-shard advert arena slab size in stored
-	// records; zero means 1024. Smaller slabs waste less memory on
-	// tiny stores, larger ones mean fewer allocations at million-advert
-	// scale.
-	ArenaSlab int
 	// Backend is the durability boundary (store.go). Nil keeps the
 	// memory store. Stores recovered from a WAL are built through
 	// Recover, which replays first and attaches the backend itself —
@@ -332,16 +326,13 @@ func New(opts Options) *Store {
 	if opts.Shards == 0 {
 		opts.Shards = 16
 	}
-	if opts.ArenaSlab <= 0 {
-		opts.ArenaSlab = defaultArenaSlab
-	}
 	n := 1 << bits.Len(uint(opts.Shards-1)) // next power of two
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = &shard{
 			adverts:  make(map[uuid.UUID]*stored),
 			kinds:    make(map[describe.Kind]*kindIndex),
-			slabSize: opts.ArenaSlab,
+			slabSize: arenaSlab,
 		}
 	}
 	var plans *planCache
@@ -936,37 +927,14 @@ func (s *Store) EffectiveLimit(opts QueryOptions) int {
 	return limit
 }
 
-// Intra-query fan-out pays off only when one query must evaluate many
-// candidates: a full-kind scan of a big store, or a prunable query
-// whose token neighbourhood is wide (a near-root semantic category).
-// Narrow queries stay on the caller goroutine — under concurrent load
-// the parallelism comes from the shard read locks instead. A query with
-// an output constraint is narrow by construction: its scan is bounded
-// by the smallest of its posting unions.
-const (
-	fanOutMinAdverts = 4096
-	fanOutMinTokens  = 16
-)
-
-func (s *Store) fanOut(plan *queryPlan) bool {
-	if len(s.shards) == 1 || stdruntime.GOMAXPROCS(0) < 2 || len(plan.groups) > 0 {
-		return false
-	}
-	if int(s.count.Load()) < fanOutMinAdverts {
-		return false
-	}
-	return !plan.prunable || len(plan.tokens) > fanOutMinTokens
-}
-
 // Evaluate runs a query payload against the stored advertisements of
 // its kind and returns matching advertisements ranked best-first and
 // capped per the options. Unknown kinds return ErrUnknownKind so the
 // caller can skip-and-forward (a registry may still forward queries it
 // cannot evaluate itself).
 //
-// Selection keeps a bounded top-K (K = the effective result cap) per
-// shard instead of sorting every hit, and large scans fan out across
-// shards on a bounded worker pool.
+// Selection keeps one bounded top-K (K = the effective result cap)
+// across the shards instead of sorting every hit.
 //
 // When the query result cache is enabled (Options.QueryCacheSize) the
 // ranked result set is memoized keyed by (payload hash, kind, effective
@@ -1009,24 +977,12 @@ func (s *Store) evaluateLive(kind describe.Kind, plan *queryPlan, limit int, now
 	if plan.prunable {
 		qtoks = s.toks.lookupAll(plan.tokens)
 	}
-	var hits []hit
-	truncated := false
-	if s.fanOut(plan) {
-		mEvaluateFanout.Inc()
-		hits = s.collectParallel(kind, plan, qtoks, limit, now)
-		truncated = len(hits) > limit
-	} else {
-		top := newTopK(limit)
-		for _, sh := range s.shards {
-			sh.collect(kind, plan, qtoks, now, top)
-		}
-		hits = top.hits
-		truncated = top.dropped > 0
+	top := newTopK(limit)
+	for _, sh := range s.shards {
+		sh.collect(kind, plan, qtoks, now, top)
 	}
+	hits := top.hits
 	sortHits(hits)
-	if len(hits) > limit {
-		hits = hits[:limit]
-	}
 	out := make([]wire.Advertisement, len(hits))
 	var minExpiry time.Time
 	for i, h := range hits {
@@ -1035,7 +991,7 @@ func (s *Store) evaluateLive(kind describe.Kind, plan *queryPlan, limit int, now
 			minExpiry = h.expires
 		}
 	}
-	if truncated {
+	if top.dropped > 0 {
 		mEvaluateTruncated.Inc()
 	}
 	return out, minExpiry
@@ -1128,45 +1084,6 @@ func (sh *shard) collect(kind describe.Kind, plan *queryPlan, qtoks []tok, now t
 			}
 		}
 	}
-}
-
-// collectParallel fans the shard scans out across a bounded worker
-// pool (at most GOMAXPROCS workers) and merges the per-worker top-K
-// lists. The union of per-shard top-Ks is a superset of the global
-// top-K, so the merge loses nothing.
-func (s *Store) collectParallel(kind describe.Kind, plan *queryPlan, qtoks []tok, limit int, now time.Time) []hit {
-	workers := stdruntime.GOMAXPROCS(0)
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	results := make([][]hit, workers)
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			top := newTopK(limit)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.shards) {
-					break
-				}
-				s.shards[i].collect(kind, plan, qtoks, now, top)
-			}
-			results[w] = top.hits
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	merged := make([]hit, 0, total)
-	for _, r := range results {
-		merged = append(merged, r...)
-	}
-	return merged
 }
 
 // mergeCand is one pooled advertisement on its way through MergeRank;

@@ -40,12 +40,12 @@ func TestSubIndexMatchesLinearScan(t *testing.T) {
 			onto := testOntology(t)
 			mkStore := func(disable bool) *Store {
 				models := describe.NewRegistry(describe.URIModel{}, describe.KVModel{}, describe.NewSemanticModel(onto))
-				return New(Options{
+				// Tiny slabs: exercise slab growth too.
+				return setSlabSize(New(Options{
 					Models:          models,
 					Leases:          lease.Policy{Min: time.Second, Max: time.Hour, Default: 30 * time.Second},
 					DisableSubIndex: disable,
-					ArenaSlab:       8, // tiny slabs: exercise slab growth too
-				})
+				}), 8)
 			}
 			indexed, scan := mkStore(false), mkStore(true)
 
@@ -356,12 +356,21 @@ func TestSubscriptionExpiry(t *testing.T) {
 
 // --- arena and interner ------------------------------------------------
 
+// setSlabSize shrinks an empty store's arena slabs so a test reaches
+// slab growth with a handful of adverts instead of thousands.
+func setSlabSize(s *Store, n int) *Store {
+	for _, sh := range s.shards {
+		sh.slabSize = n
+	}
+	return s
+}
+
 // TestArenaRecyclesSlots publishes and removes adverts through several
 // slab generations and checks slots are recycled (no slab growth after
 // steady state) while lookups stay correct.
 func TestArenaRecyclesSlots(t *testing.T) {
 	models := describe.NewRegistry(describe.URIModel{}, describe.KVModel{}, describe.NewSemanticModel(testOntology(t)))
-	s := New(Options{Models: models, Leases: lease.Policy{Max: time.Hour}, ArenaSlab: 4, Shards: 1})
+	s := setSlabSize(New(Options{Models: models, Leases: lease.Policy{Max: time.Hour}, Shards: 1}), 4)
 	sh := s.shards[0]
 
 	var ids []uuid.UUID
